@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod deps;
 pub mod error;
 pub mod intern;
 pub mod lexer;
@@ -29,9 +28,8 @@ pub use ast::{
     Clause, DataBind, Dec, DecKind, ExBind, Exp, ExpKind, FctBind, FunBind, Pat, PatKind, Path,
     Program, Rule, SigBind, SigExp, Spec, StrBind, StrExp, Ty, TyKind, TypeBind,
 };
-pub use deps::{dec_names, DecNames};
 pub use error::{ParseError, ParseResult};
 pub use intern::Symbol;
 pub use parser::{parse, parse_exp};
-pub use print::{print_dec, print_exp, print_program};
+pub use print::{print_exp, print_program};
 pub use span::Span;

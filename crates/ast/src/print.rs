@@ -11,7 +11,7 @@ use std::fmt::Write;
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
     for d in &p.decs {
-        dec_into(d, &mut out);
+        print_dec(d, &mut out);
         out.push('\n');
     }
     out
@@ -172,7 +172,7 @@ fn exp(e: &Exp, out: &mut String) {
         ExpKind::Let(decs, body) => {
             out.push_str("let ");
             for d in decs {
-                dec_into(d, out);
+                print_dec(d, out);
                 out.push(' ');
             }
             out.push_str("in ");
@@ -371,16 +371,7 @@ fn tyvarseq(tvs: &[crate::Symbol], out: &mut String) {
     }
 }
 
-/// Renders one declaration as parseable source text (no trailing
-/// newline). Used by the component partitioner to content-hash each
-/// top-level declaration independently of surrounding whitespace.
-pub fn print_dec(d: &Dec) -> String {
-    let mut out = String::new();
-    dec_into(d, &mut out);
-    out
-}
-
-fn dec_into(d: &Dec, out: &mut String) {
+fn print_dec(d: &Dec, out: &mut String) {
     match &d.kind {
         DecKind::Val {
             tyvars,
@@ -519,7 +510,7 @@ fn strexp(s: &StrExp, out: &mut String) {
         StrExp::Struct(decs, _) => {
             out.push_str("struct ");
             for d in decs {
-                dec_into(d, out);
+                print_dec(d, out);
                 out.push(' ');
             }
             out.push_str("end");

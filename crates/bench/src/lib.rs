@@ -122,7 +122,7 @@ pub struct BenchResult {
 
 impl BenchResult {
     /// This cell as a [`Metrics`] snapshot (the per-variant schema of
-    /// `smlc --stats=json`).
+    /// `smlc run --stats=json`).
     pub fn metrics(&self) -> Metrics {
         Metrics {
             variant: self.variant.name().to_owned(),

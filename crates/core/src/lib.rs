@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod component;
 pub mod config;
 pub mod error;
 pub mod fxhash;
@@ -45,12 +44,13 @@ pub mod pipeline;
 pub mod server;
 pub mod session;
 
-pub use component::{partition, Component, ComponentGraph, ComponentStats};
 pub use config::{ParseVariantError, Variant};
 pub use error::{CompileError, ConfigError, Violation};
 pub use json::{Json, JsonError};
 pub use metrics::{error_json, result_tag, Metrics, RunMetrics, METRICS_SCHEMA_VERSION};
-pub use pipeline::{CompileStats, Compiled, Limits, ParseVerifyIrError, VerifyIr, VerifyStats};
+pub use pipeline::{
+    CompileStats, Compiled, ComponentStats, Limits, ParseVerifyIrError, VerifyIr, VerifyStats,
+};
 pub use server::{CompileServer, ServerStats};
 pub use session::{par_map, CacheStats, Job, Session, SessionBuilder};
 pub use sml_cps::OptConfig;

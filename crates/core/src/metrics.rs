@@ -1,7 +1,7 @@
 //! Structured pipeline observability: one [`Metrics`] value captures a
 //! whole compile (and optionally a run) as machine-readable data.
 //!
-//! This is the layer behind `smlc --stats=json` and the bench
+//! This is the layer behind `smlc run --stats=json` and the bench
 //! harness's `BENCH_*.json` trajectory files: every per-phase
 //! wall-clock span, LTY hash-cons hit/miss count, coercion-memo hit,
 //! optimizer rewrite count, and VM runtime counter (allocation, Cheney
@@ -27,8 +27,8 @@ use sml_vm::{DispatchStats, InstrClass, Outcome, RunStats, SchedStats, VmResult}
 /// first) and the top-level `arena` object (shared LTY arena totals)
 /// was added. Still 2 after the bounded-pause GC work: the `gc` pause
 /// histograms/slice counters and the top-level `sched` object are pure
-/// additions. **3** — the top-level `components` object
-/// (SCC-incremental elaboration counters, always present) and the
+/// additions. **3** — the top-level `components` object (then the
+/// SCC-incremental elaboration counters, always present) and the
 /// top-level `server` object (compile-server counters, `null` outside
 /// `smlc serve`) were added; bumped because `components` changes what
 /// a "complete" document looks like for schema-checking consumers.
@@ -44,7 +44,9 @@ use sml_vm::{DispatchStats, InstrClass, Outcome, RunStats, SchedStats, VmResult}
 /// any one tenant consumed (identical for round-robin, defined for
 /// every policy) and `max_overshoot` is measured against each
 /// tenant's *own* quantum (identical when all tenants share the
-/// global quantum); bumped for those redefinitions.
+/// global quantum); bumped for those redefinitions. Still 5 after
+/// elaboration became whole-program only: `components` keeps its
+/// fields and reports the program as one component.
 pub const METRICS_SCHEMA_VERSION: u64 = 5;
 
 /// A structured snapshot of one compilation and (optionally) one run.
@@ -72,7 +74,7 @@ pub struct Metrics {
     /// `compile.lty` counters are deterministic.
     pub arena: Option<InternStats>,
     /// Multi-tenant scheduler fairness counters, when the run went
-    /// through a `VmScheduler` (see `smlc --tenants`); `None`
+    /// through a `VmScheduler` (see `smlc run --tenants`); `None`
     /// serializes as `"sched": null`.
     pub sched: Option<SchedStats>,
     /// Compile-server counters, when the compile was served by `smlc
@@ -254,8 +256,7 @@ impl Metrics {
             None => doc.field("sched", Json::Null),
         };
         // Always present (unlike the optional session attachments):
-        // every compile reports its component counters, zeroed with
-        // `enabled: false` when elaboration ran whole-program.
+        // every compile reports its program as one component.
         doc = doc.field("components", components_json(&self.compile.components));
         doc = match &self.server {
             Some(server) => doc.field("server", server_json(server)),
@@ -265,7 +266,7 @@ impl Metrics {
     }
 }
 
-fn components_json(c: &crate::component::ComponentStats) -> Json {
+pub(crate) fn components_json(c: &crate::pipeline::ComponentStats) -> Json {
     Json::obj()
         .field("enabled", c.enabled)
         .field("scc_count", c.scc_count)

@@ -8,7 +8,6 @@
 //! optimizer pass, the closed program after closure conversion, and
 //! the bytecode after code generation.
 
-use crate::component::{elaborate_incremental, ComponentStats, IncrCtx};
 use crate::config::Variant;
 use crate::error::{CompileError, Violation};
 use sml_cps::{close, convert, optimize, optimize_instrumented, OptConfig, OptStats};
@@ -191,6 +190,40 @@ fn verify_error(
     }
 }
 
+/// Per-compile component statistics, reported as the `components`
+/// object of the metrics schema; see `docs/OBSERVABILITY.md`.
+/// Elaboration is always whole-program, so every compile reports its
+/// program as a single component: `scc_count`, `recompiled`, and
+/// `topo_depth` are 1 (0 for a program with no declarations) and
+/// `cache_hits` is 0.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ComponentStats {
+    /// Whether elaboration ran per component (always false).
+    pub enabled: bool,
+    /// Number of components the program was elaborated as.
+    pub scc_count: usize,
+    /// Components elaborated by this compile.
+    pub recompiled: usize,
+    /// Components served from a cache (always 0).
+    pub cache_hits: usize,
+    /// Length of the longest dependency chain between components.
+    pub topo_depth: usize,
+}
+
+impl ComponentStats {
+    /// The stats of a whole-program compile of `prog`.
+    fn whole_program(prog: &sml_ast::Program) -> ComponentStats {
+        let n = usize::from(!prog.decs.is_empty());
+        ComponentStats {
+            enabled: false,
+            scc_count: n,
+            recompiled: n,
+            cache_hits: 0,
+            topo_depth: n,
+        }
+    }
+}
+
 /// Per-phase and summary statistics of one compilation.
 #[derive(Clone, Debug, Default)]
 pub struct CompileStats {
@@ -219,8 +252,7 @@ pub struct CompileStats {
     pub lty: LtyStats,
     /// IR-verification counters (all zero when verification is off).
     pub verify: VerifyStats,
-    /// Component-wise incremental elaboration counters (all zero with
-    /// `enabled: false` when the session compiles whole-program). See
+    /// The whole program as one elaboration component; see
     /// [`ComponentStats`].
     pub components: ComponentStats,
     /// Front-end warnings (nonexhaustive matches, redundant rules).
@@ -257,7 +289,6 @@ pub(crate) fn compile_engine(
     limits: &Limits,
     verify: VerifyIr,
     interner: LtyInterner,
-    incr: Option<&IncrCtx<'_>>,
 ) -> Result<Compiled, CompileError> {
     if src.len() > limits.max_source_bytes {
         return Err(CompileError::Limit {
@@ -291,21 +322,12 @@ pub(crate) fn compile_engine(
     phases.push(("parse", t.elapsed()));
 
     let t = Instant::now();
-    // With a component context, elaboration resumes from the deepest
-    // cached checkpoint and replays only the dirtied suffix; the typed
-    // program is isomorphic to the whole-program path's (differential-
-    // gated byte-identity downstream). MTD runs on the working copy
-    // only — checkpoints are deep forks, so its in-place re-linking
-    // cannot corrupt them.
-    let (elab, comp_stats) = contain("elaborate", || {
-        let (mut e, comp_stats) = match incr {
-            Some(ctx) => elaborate_incremental(&prog, ctx)?,
-            None => (sml_elab::elaborate(&prog)?, ComponentStats::default()),
-        };
+    let elab = contain("elaborate", || {
+        let mut e = sml_elab::elaborate(&prog)?;
         if variant.uses_mtd() {
             sml_elab::minimum_typing(&mut e);
         }
-        Ok((e, comp_stats))
+        Ok(e)
     })?
     .map_err(|e: sml_elab::ElabError| CompileError::Elab(e, src.to_owned()))?;
     phases.push(("elaborate", t.elapsed()));
@@ -452,7 +474,7 @@ pub(crate) fn compile_engine(
         opt,
         lty,
         verify: vstats,
-        components: comp_stats,
+        components: ComponentStats::whole_program(&prog),
         warnings: tr.warnings,
     };
     Ok(Compiled {

@@ -6,10 +6,10 @@
 //! responses to a connection come back **in request order** even though
 //! jobs from all connections are dispatched onto a shared worker pool.
 //! Because every worker compiles through the same session, all clients
-//! share the artifact cache, the component-checkpoint cache, and the
-//! LTY hash-cons arena — the whole point of keeping the compiler
-//! resident — and the session's determinism contract guarantees each
-//! client's artifacts are byte-identical to a solo compile.
+//! share the artifact cache and the LTY hash-cons arena — the whole
+//! point of keeping the compiler resident — and the session's
+//! determinism contract guarantees each client's artifacts are
+//! byte-identical to a solo compile.
 //!
 //! Two front ends share the machinery: [`CompileServer::serve_stdio`]
 //! serves a single client over stdin/stdout and shuts down cleanly at
@@ -18,11 +18,17 @@
 //! raised (the CLI raises it from a SIGTERM handler) or a client sends
 //! `{"op":"shutdown"}`. Both drain in-flight jobs before returning the
 //! final [`ServerStats`], which the CLI flushes to stderr.
+//!
+//! A request line is bounded by the session's [`Limits`]: six bytes
+//! per admitted source byte (the worst JSON escaping) plus a fixed
+//! envelope. A longer line is discarded as it streams in, never
+//! buffered whole, and answered in its place in the request order with
+//! a `limit` error.
 
 use crate::error::CompileError;
 use crate::json::Json;
-use crate::metrics::{result_tag, Metrics};
-use crate::pipeline::VerifyIr;
+use crate::metrics::{components_json, result_tag, Metrics};
+use crate::pipeline::{Limits, VerifyIr};
 use crate::session::{Job, Session};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -37,8 +43,8 @@ use std::time::Duration;
 /// stderr flush.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Requests dispatched to workers (all ops, including malformed
-    /// requests that produced an error response).
+    /// Requests answered (all ops, including malformed and over-long
+    /// request lines that produced an error response).
     pub jobs: u64,
     /// Connections accepted (1 for a stdio server).
     pub clients: u64,
@@ -77,6 +83,8 @@ struct Shared<'a> {
     /// Raised by a `shutdown` request; checked alongside the caller's
     /// external flag.
     stop: AtomicBool,
+    /// Longest accepted request line, in bytes.
+    max_line: usize,
 }
 
 impl Shared<'_> {
@@ -183,15 +191,7 @@ impl Shared<'_> {
             .field("ok", true)
             .field("variant", compiled.variant.name())
             .field("from_cache", compiled.from_cache)
-            .field(
-                "components",
-                Json::obj()
-                    .field("enabled", compiled.stats.components.enabled)
-                    .field("scc_count", compiled.stats.components.scc_count)
-                    .field("recompiled", compiled.stats.components.recompiled)
-                    .field("cache_hits", compiled.stats.components.cache_hits)
-                    .field("topo_depth", compiled.stats.components.topo_depth),
-            );
+            .field("components", components_json(&compiled.stats.components));
         let outcome = req
             .get("run")
             .and_then(Json::as_bool)
@@ -331,6 +331,7 @@ impl CompileServer {
             ready: Condvar::new(),
             stats: Mutex::new(ServerStats::default()),
             stop: AtomicBool::new(false),
+            max_line: max_request_bytes(self.session.limits()),
         }
     }
 
@@ -405,6 +406,80 @@ impl CompileServer {
     }
 }
 
+/// Fixed allowance for everything on a request line besides the
+/// escaped source: the `id`, `op`, `variant`, `verify_ir`, `run`, and
+/// `stats` fields and their whitespace.
+const REQUEST_ENVELOPE_BYTES: usize = 4096;
+
+/// The longest request line a server accepts: the largest source the
+/// limits admit at the worst-case JSON escaping of six bytes per source
+/// byte (`\u001f`), plus [`REQUEST_ENVELOPE_BYTES`].
+fn max_request_bytes(limits: &Limits) -> usize {
+    limits
+        .max_source_bytes
+        .saturating_mul(6)
+        .saturating_add(REQUEST_ENVELOPE_BYTES)
+}
+
+/// One request line as read off a connection.
+enum Frame {
+    /// A complete line within the cap.
+    Line(Vec<u8>),
+    /// A line over the cap; its bytes were discarded.
+    TooLong,
+}
+
+/// Splits a byte stream into request lines of at most `cap` bytes
+/// (terminator included). The partial line lives here rather than on
+/// the stack, so a read timeout mid-line loses nothing.
+struct LineReader {
+    cap: usize,
+    buf: Vec<u8>,
+    overflowed: bool,
+}
+
+impl LineReader {
+    /// The next line, or `None` at EOF. An over-long line is dropped as
+    /// it arrives, so memory never exceeds the cap.
+    fn next(&mut self, reader: &mut impl BufRead) -> std::io::Result<Option<Frame>> {
+        loop {
+            let chunk = reader.fill_buf()?;
+            if chunk.is_empty() {
+                // EOF ends an unterminated last line.
+                return Ok(if self.overflowed || !self.buf.is_empty() {
+                    Some(self.frame())
+                } else {
+                    None
+                });
+            }
+            let (len, done) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (chunk.len(), false),
+            };
+            if !self.overflowed {
+                if self.buf.len() + len > self.cap {
+                    self.overflowed = true;
+                    self.buf = Vec::new();
+                } else {
+                    self.buf.extend_from_slice(&chunk[..len]);
+                }
+            }
+            reader.consume(len);
+            if done {
+                return Ok(Some(self.frame()));
+            }
+        }
+    }
+
+    fn frame(&mut self) -> Frame {
+        if std::mem::take(&mut self.overflowed) {
+            Frame::TooLong
+        } else {
+            Frame::Line(std::mem::take(&mut self.buf))
+        }
+    }
+}
+
 /// Pumps one connection: reads request lines and enqueues them, while a
 /// writer thread puts responses back **in request order** (workers
 /// finish out of order; a reorder buffer serializes them). Returns once
@@ -436,40 +511,60 @@ fn serve_connection(
             }
         });
         let mut seq = 0u64;
-        let mut line = String::new();
+        let mut lines = LineReader {
+            cap: shared.max_line,
+            buf: Vec::new(),
+            overflowed: false,
+        };
         loop {
             if external_stop.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
                 break;
             }
-            match reader.read_line(&mut line) {
-                Ok(0) => break, // EOF
-                Ok(_) => {
-                    let l = std::mem::take(&mut line);
-                    if l.trim().is_empty() {
+            // A line that never reaches a worker is answered straight
+            // into the reorder buffer under its own sequence number.
+            let rejection = match lines.next(&mut reader) {
+                Ok(None) => break, // EOF
+                Ok(Some(Frame::Line(bytes))) => match String::from_utf8(bytes) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => {
+                        let item = WorkItem {
+                            seq,
+                            line,
+                            respond: tx.clone(),
+                            client: Arc::clone(&client),
+                        };
+                        if !shared.enqueue(item) {
+                            break;
+                        }
+                        seq += 1;
                         continue;
                     }
-                    let item = WorkItem {
-                        seq,
-                        line: l,
-                        respond: tx.clone(),
-                        client: Arc::clone(&client),
-                    };
-                    if !shared.enqueue(item) {
-                        break;
-                    }
-                    seq += 1;
-                }
+                    Err(_) => error_response(0, "request", "request line is not UTF-8", 2),
+                },
+                Ok(Some(Frame::TooLong)) => compile_error_response(
+                    0,
+                    &CompileError::Limit {
+                        phase: "request",
+                        msg: format!("request line exceeds the {}-byte cap", shared.max_line),
+                    },
+                ),
                 // A read timeout (socket mode) just re-checks shutdown;
-                // a partial line stays in `line` and continues growing.
+                // a partial line stays in `lines` and keeps growing.
                 Err(e)
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock
                             | std::io::ErrorKind::TimedOut
                             | std::io::ErrorKind::Interrupted
-                    ) => {}
+                    ) =>
+                {
+                    continue
+                }
                 Err(_) => break,
-            }
+            };
+            shared.stats.lock().expect("server stats poisoned").jobs += 1;
+            let _ = tx.send((seq, rejection));
+            seq += 1;
         }
         // Dropping our sender ends the writer thread once every queued
         // job's worker has sent (and dropped its clone) — the drain.

@@ -6,7 +6,7 @@
 //! [`SessionBuilder`], and owns the state worth amortizing across
 //! compiles:
 //!
-//! * a **content-addressed artifact cache** keyed by `(source_hash,
+//! * a **content-addressed artifact cache** keyed by `(source,
 //!   variant, config_fingerprint)` — repeat compiles of the same source
 //!   under the same configuration return the cached [`Compiled`]
 //!   artifact and record a hit (see [`CacheStats`]);
@@ -51,10 +51,9 @@
 //! assert_eq!(session.run(&a).result, VmResult::Value(0));
 //! ```
 
-use crate::component::{ComponentCache, IncrCtx};
 use crate::config::Variant;
 use crate::error::{CompileError, ConfigError};
-use crate::fxhash::{hash_bytes, FxHasher};
+use crate::fxhash::FxHasher;
 use crate::pipeline::{compile_engine, Compiled, Limits, VerifyIr};
 use sml_cps::OptConfig;
 use sml_lambda::{InternMode, InternStats, LtyArena, LtyInterner};
@@ -177,22 +176,13 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// Content address of one compilation: source digest + length (the
-/// length guards 64-bit digest collisions cheaply; the full source is
-/// verified on lookup), the variant, and the session configuration
-/// fingerprint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
-    src_hash: u64,
-    src_len: usize,
-    variant: Variant,
-    fingerprint: u64,
-}
+/// Content address of one compilation: the full source text, the
+/// variant, and the session configuration fingerprint. Keying on the
+/// text itself rather than a digest means two different sources can
+/// never contend for one entry.
+type CacheKey = (String, Variant, u64);
 
 struct CacheEntry {
-    /// Full source text, compared on lookup so a digest collision costs
-    /// a recompile instead of returning the wrong artifact.
-    src: String,
     artifact: Compiled,
     last_used: u64,
 }
@@ -220,33 +210,33 @@ impl ArtifactCache {
         }
     }
 
-    fn lookup(&mut self, key: &CacheKey, src: &str) -> Option<Compiled> {
+    fn lookup(&mut self, key: &CacheKey) -> Option<Compiled> {
         self.tick += 1;
         match self.map.get_mut(key) {
-            Some(e) if e.src == src => {
+            Some(e) => {
                 e.last_used = self.tick;
                 self.hits += 1;
                 let mut artifact = e.artifact.clone();
                 artifact.from_cache = true;
                 Some(artifact)
             }
-            _ => {
+            None => {
                 self.misses += 1;
                 None
             }
         }
     }
 
-    fn insert(&mut self, key: CacheKey, src: &str, artifact: &Compiled) {
+    fn insert(&mut self, key: CacheKey, artifact: &Compiled) {
         self.tick += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             // Evict the least-recently-used entry. The linear scan is
             // fine at artifact-cache sizes (dozens to hundreds).
-            if let Some(&victim) = self
+            if let Some(victim) = self
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
+                .map(|(k, _)| k.clone())
             {
                 self.map.remove(&victim);
                 self.evictions += 1;
@@ -256,7 +246,6 @@ impl ArtifactCache {
         self.map.insert(
             key,
             CacheEntry {
-                src: src.to_owned(),
                 artifact: artifact.clone(),
                 last_used: self.tick,
             },
@@ -291,8 +280,6 @@ pub struct SessionBuilder {
     reuse_types: bool,
     batch_workers: usize,
     verify: VerifyIr,
-    incremental: bool,
-    component_cache_capacity: usize,
 }
 
 impl Default for SessionBuilder {
@@ -318,8 +305,6 @@ impl Default for SessionBuilder {
             reuse_types: true,
             batch_workers: 0,
             verify,
-            incremental: true,
-            component_cache_capacity: 64,
         }
     }
 }
@@ -399,23 +384,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables or disables SCC-incremental elaboration (enabled by
-    /// default). When on, the session keeps elaborator checkpoints per
-    /// top-level component (see [`crate::component`]) so recompiling an
-    /// edited program replays only the dirtied suffix of components.
-    /// Output is byte-identical either way — the flag is deliberately
-    /// *not* part of the configuration fingerprint, so warm incremental
-    /// and cold whole-program compiles share the artifact cache.
-    pub fn incremental(mut self, enabled: bool) -> SessionBuilder {
-        self.incremental = enabled;
-        self
-    }
-
-    /// Maximum retained component checkpoints (default 64);
-    /// least-recently-used checkpoints are evicted beyond this. Only
-    /// meaningful with [`SessionBuilder::incremental`] enabled.
-    pub fn component_cache_capacity(mut self, capacity: usize) -> SessionBuilder {
-        self.component_cache_capacity = capacity;
+    /// Has no effect: elaboration is always whole-program. Kept so
+    /// existing callers still build; the setting was never part of the
+    /// configuration fingerprint, so no cached artifact depends on it.
+    #[deprecated(note = "elaboration is always whole-program; this setting has no effect")]
+    pub fn incremental(self, _enabled: bool) -> SessionBuilder {
         self
     }
 
@@ -444,9 +417,6 @@ impl SessionBuilder {
         }
         if self.cache_enabled && self.cache_capacity == 0 {
             return nonzero("cache_capacity");
-        }
-        if self.incremental && self.component_cache_capacity == 0 {
-            return nonzero("component_cache_capacity");
         }
         if let Some(vm) = &self.vm {
             if vm.nursery_words == 0 {
@@ -506,9 +476,6 @@ impl SessionBuilder {
                 .cache_enabled
                 .then(|| Mutex::new(ArtifactCache::new(self.cache_capacity))),
             arena: self.reuse_types.then(|| Arc::new(LtyArena::new())),
-            incr: self
-                .incremental
-                .then(|| Mutex::new(ComponentCache::new(self.component_cache_capacity))),
         })
     }
 }
@@ -525,9 +492,7 @@ fn fingerprint(b: &SessionBuilder) -> u64 {
 /// per-job overrides can compute its *effective* fingerprint from the
 /// same encoding the session used — an overridden job whose effective
 /// knobs equal the session's hashes identically, so it still hits the
-/// session's cached artifacts. The `incremental` flag is deliberately
-/// excluded: incremental and whole-program compiles are byte-identical
-/// and must share cache entries.
+/// session's cached artifacts.
 fn fingerprint_of(
     verify: VerifyIr,
     opt: &OptConfig,
@@ -601,9 +566,6 @@ pub struct Session {
     /// The shared hash-cons arena (`None` when `reuse_types(false)`
     /// forces every compile onto a private cold arena).
     arena: Option<Arc<LtyArena>>,
-    /// Elaborator checkpoints per component chain (`None` when
-    /// `incremental(false)` forces whole-program elaboration).
-    incr: Option<Mutex<ComponentCache>>,
 }
 
 impl Default for Session {
@@ -669,12 +631,6 @@ impl Session {
     /// [`SessionBuilder::verify_ir`].
     pub fn verify_ir(&self) -> VerifyIr {
         self.verify
-    }
-
-    /// Whether SCC-incremental elaboration is on; see
-    /// [`SessionBuilder::incremental`].
-    pub fn incremental(&self) -> bool {
-        self.incr.is_some()
     }
 
     /// The VM configuration a run of `variant` would use: the explicit
@@ -836,7 +792,7 @@ impl Session {
     /// of hits vs. retries depends on thread scheduling; the totals
     /// balance exactly at quiescence (`hits + misses == queries`,
     /// `misses == resident`). Surfaced as the `arena` object of
-    /// `smlc --stats=json`; see `docs/OBSERVABILITY.md`.
+    /// `smlc run --stats=json`; see `docs/OBSERVABILITY.md`.
     pub fn arena_stats(&self) -> Option<InternStats> {
         self.arena.as_ref().map(|a| a.stats())
     }
@@ -854,12 +810,12 @@ impl Session {
         // Within-batch dedup only makes sense when hits can be served
         // from the cache; without it every job compiles independently.
         let class_of: Vec<usize> = if self.cache.is_some() {
-            let mut first: HashMap<CacheKey, usize> = HashMap::new();
+            let mut first: HashMap<(&str, Variant, u64), usize> = HashMap::new();
             jobs.iter()
                 .enumerate()
                 .map(|(i, job)| {
-                    let key = self.key_of(
-                        &job.src,
+                    let key = (
+                        job.src.as_str(),
                         job.variant.unwrap_or(self.variant),
                         self.job_fingerprint(job),
                     );
@@ -900,15 +856,6 @@ impl Session {
             .collect()
     }
 
-    fn key_of(&self, src: &str, variant: Variant, fingerprint: u64) -> CacheKey {
-        CacheKey {
-            src_hash: hash_bytes(src.as_bytes()),
-            src_len: src.len(),
-            variant,
-            fingerprint,
-        }
-    }
-
     /// A job's effective configuration fingerprint: the session's when
     /// nothing is overridden (the overwhelmingly common case, free),
     /// otherwise recomputed from the effective knobs — which makes an
@@ -928,8 +875,7 @@ impl Session {
 
     /// The compile path behind every public entry point: cache lookup,
     /// then a pipeline run through a fresh view on the shared LTY
-    /// arena (resuming from component checkpoints when incremental
-    /// elaboration is on), then cache insertion.
+    /// arena, then cache insertion.
     fn compile_inner(
         &self,
         src: &str,
@@ -939,12 +885,9 @@ impl Session {
         limits: &Limits,
         fingerprint: u64,
     ) -> Result<Compiled, CompileError> {
-        let key = self.key_of(src, variant, fingerprint);
+        let key: CacheKey = (src.to_owned(), variant, fingerprint);
         if let Some(cache) = &self.cache {
-            let hit = cache
-                .lock()
-                .expect("artifact cache poisoned")
-                .lookup(&key, src);
+            let hit = cache.lock().expect("artifact cache poisoned").lookup(&key);
             if let Some(artifact) = hit {
                 return Ok(artifact);
             }
@@ -958,23 +901,14 @@ impl Session {
             (Some(arena), InternMode::HashCons) => LtyInterner::with_arena(Arc::clone(arena)),
             _ => LtyInterner::new(mode),
         };
-        // Checkpoints are keyed by variant + effective fingerprint (MTD
-        // variants mutate schemes in place; differently-limited jobs
-        // may observe different elaborator behavior at the budget), so
-        // the component cache never resumes across configurations.
-        let incr = self.incr.as_ref().map(|cache| IncrCtx {
-            cache,
-            variant,
-            fingerprint,
-        });
-        let result = compile_engine(src, variant, opt, limits, verify, view, incr.as_ref());
+        let result = compile_engine(src, variant, opt, limits, verify, view);
         match result {
             Ok(artifact) => {
                 if let Some(cache) = &self.cache {
                     cache
                         .lock()
                         .expect("artifact cache poisoned")
-                        .insert(key, src, &artifact);
+                        .insert(key, &artifact);
                 }
                 Ok(artifact)
             }

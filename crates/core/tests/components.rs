@@ -1,189 +1,69 @@
-//! SCC partitioner edge cases and incremental-elaboration differentials.
+//! Warm-session differentials and the `components` statistics.
 //!
-//! The contract under test is twofold: the partitioner groups
-//! declarations the way `docs/ARCHITECTURE.md` specifies (mutual
-//! recursion fuses, shadowing splits, signatures fuse forward), and the
-//! incremental suffix-replay path is *byte-identical* to whole-program
-//! elaboration — same machine code, warm or cold, across all six
-//! variants and a progen seed sweep.
+//! A long-lived [`Session`] keeps its LTY hash-cons arena and artifact
+//! cache warm across compiles. The contract under test is that warmth
+//! never shows in the output: every compile in an edit sequence — and
+//! every artifact served back from the cache — is byte-identical to the
+//! same source compiled by a fresh session, across all six variants
+//! and a progen seed sweep. Elaboration is always whole-program, so
+//! each compile reports its program as one component.
 
 use sml_testkit::progen::{gen_program, GenConfig};
 use sml_testkit::Rng;
-use smlc::{partition, ComponentGraph, Session, Variant};
+use smlc::{Compiled, ComponentStats, Session, Variant};
 
-fn graph(src: &str) -> ComponentGraph {
-    partition(&sml_ast::parse(src).unwrap())
+/// The machine program rendered to a canonical byte string.
+fn code_bytes(c: &Compiled) -> String {
+    format!("{:?}", c.machine)
 }
 
-/// An incremental session (the default) next to a whole-program one
-/// with the same knobs.
-fn session_pair(v: Variant) -> (Session, Session) {
-    let incr = Session::builder().variant(v).build().unwrap();
-    let whole = Session::builder()
-        .variant(v)
-        .incremental(false)
-        .build()
-        .unwrap();
-    assert!(incr.incremental() && !whole.incremental());
-    (incr, whole)
-}
-
-/// Compile in both sessions and demand byte-identical machine code.
-fn assert_differential(incr: &Session, whole: &Session, src: &str, what: &str) {
-    let a = incr.compile(src).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let b = whole.compile(src).unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert!(
-        a.stats.components.enabled || a.from_cache,
-        "{what}: incremental session must report component stats"
-    );
+/// Compiles `src` in the warm session and in a fresh one and demands
+/// byte-identical machine code.
+fn assert_matches_fresh(warm: &Session, src: &str, what: &str) {
+    let a = warm.compile(src).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let fresh = Session::with_variant(warm.variant());
+    let b = fresh.compile(src).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(
-        format!("{}", a.machine),
-        format!("{}", b.machine),
-        "{what}: incremental output diverged from whole-program"
+        code_bytes(&a),
+        code_bytes(&b),
+        "{what}: warm-session output diverged from a fresh session"
     );
 }
-
-// ---------------------------------------------------------------------
-// Partitioner edge cases
-// ---------------------------------------------------------------------
-
-#[test]
-fn mutually_recursive_and_is_one_component() {
-    let g = graph(
-        "fun even n = if n = 0 then true else odd (n - 1) \
-         and odd n = if n = 0 then false else even (n - 1) \
-         val x = even 4",
-    );
-    assert_eq!(g.len(), 2, "an `and` group is one declaration, one SCC");
-    assert_eq!(g.components[1].deps, vec![0]);
-    assert_eq!(g.topo_depth, 2);
-}
-
-#[test]
-fn mutually_recursive_datatypes_are_one_component() {
-    let g = graph(
-        "datatype tree = Leaf of int | Node of forest \
-         and forest = Empty | Cons of tree * forest \
-         fun size t = case t of Leaf _ => 1 | Node f => sizes f \
-         and sizes f = case f of Empty => 0 | Cons (t, r) => size t + sizes r \
-         val n = size (Node (Cons (Leaf 1, Empty)))",
-    );
-    assert_eq!(g.len(), 3);
-    assert_eq!(
-        g.components[1].deps,
-        vec![0],
-        "funs depend on the datatypes"
-    );
-    assert_eq!(
-        g.components[2].deps,
-        vec![0, 1],
-        "the use site reads both the constructors and the funs"
-    );
-}
-
-/// Shadowing: a redefinition of `x` reads the *previous* `x`, so the
-/// partition must split at the rebinding (three components, each
-/// depending only on its immediate predecessor), not fuse into one.
-#[test]
-fn shadowing_redefinition_splits_components() {
-    let g = graph("val x = 1 val x = x + 1 val y = x");
-    assert_eq!(g.len(), 3, "shadowing must not fuse declarations");
-    assert_eq!(g.components[1].deps, vec![0]);
-    assert_eq!(
-        g.components[2].deps,
-        vec![1],
-        "the use of `x` resolves to the nearest (shadowing) binder"
-    );
-}
-
-/// A `signature` has no runtime content; it fuses forward with the
-/// `structure` (or `functor`) that first consumes it so a checkpoint
-/// never splits an ascription from its signature.
-#[test]
-fn signature_fuses_with_structure_and_functor() {
-    let g = graph(
-        "signature SIG = sig val item : int end \
-         structure S : SIG = struct val item = 3 end \
-         val a = S.item \
-         signature FSIG = sig val item : int end \
-         functor F (X : FSIG) = struct val v = X.item + 1 end \
-         structure T = F (S) \
-         val b = T.v",
-    );
-    // sig+S | a | fsig+F | T | b
-    assert_eq!(g.len(), 5, "each signature fuses with its consumer");
-    assert_eq!(g.components[0].decs, 0..2);
-    assert_eq!(g.components[2].decs, 3..5);
-    assert_eq!(g.components[3].deps, vec![0, 2], "T = F(S) reads both");
-}
-
-// ---------------------------------------------------------------------
-// Recompiled-counter behaviour (the tentpole's observable contract)
-// ---------------------------------------------------------------------
 
 const BASE: &str = "fun id x = x\nval a = id 1\nval _ = print (itos a)";
 
 #[test]
-fn cold_compile_recompiles_every_component() {
-    let s = Session::with_variant(Variant::Ffb);
-    let c = s.compile(BASE).unwrap();
-    let cs = &c.stats.components;
-    assert!(cs.enabled);
-    assert_eq!(cs.scc_count, 3);
-    assert_eq!(cs.recompiled, 3);
-    assert_eq!(cs.cache_hits, 0);
-    assert_eq!(cs.topo_depth, 3);
-}
-
-#[test]
-fn editing_last_declaration_recompiles_only_it() {
-    let s = Session::with_variant(Variant::Ffb);
-    s.compile(BASE).unwrap();
-    let edited = "fun id x = x\nval a = id 1\nval _ = print (itos (a + a))";
-    let c = s.compile(edited).unwrap();
-    let cs = &c.stats.components;
-    assert_eq!((cs.recompiled, cs.cache_hits), (1, 2), "suffix only");
-}
-
-#[test]
-fn editing_middle_declaration_dirties_downstream_only() {
-    let s = Session::with_variant(Variant::Ffb);
-    s.compile(BASE).unwrap();
-    let edited = "fun id x = x\nval a = id 2\nval _ = print (itos a)";
-    let c = s.compile(edited).unwrap();
-    let cs = &c.stats.components;
-    assert_eq!((cs.recompiled, cs.cache_hits), (2, 1));
-}
-
-#[test]
-fn appending_a_declaration_keeps_prefix_warm() {
-    let s = Session::with_variant(Variant::Ffb);
-    s.compile(BASE).unwrap();
-    let appended = format!("{BASE}\nval z = id 9");
-    let c = s.compile(&appended).unwrap();
-    let cs = &c.stats.components;
-    assert_eq!((cs.scc_count, cs.recompiled, cs.cache_hits), (4, 1, 3));
-}
-
-#[test]
 fn whole_program_session_reports_disabled_stats() {
-    let s = Session::builder()
+    let s = Session::with_variant(Variant::Ffb);
+    let one = ComponentStats {
+        enabled: false,
+        scc_count: 1,
+        recompiled: 1,
+        cache_hits: 0,
+        topo_depth: 1,
+    };
+    assert_eq!(s.compile(BASE).unwrap().stats.components, one);
+    assert_eq!(
+        s.compile("").unwrap().stats.components,
+        ComponentStats::default(),
+        "a program without declarations has no component"
+    );
+
+    // The deprecated knob changes nothing, not even the stats.
+    #[allow(deprecated)]
+    let whole = Session::builder()
         .variant(Variant::Ffb)
         .incremental(false)
         .build()
         .unwrap();
-    let c = s.compile(BASE).unwrap();
-    let cs = &c.stats.components;
-    assert!(!cs.enabled);
-    assert_eq!((cs.scc_count, cs.recompiled, cs.cache_hits), (0, 0, 0));
+    let c = whole.compile(BASE).unwrap();
+    assert_eq!(c.stats.components, one);
+    assert_eq!(code_bytes(&c), code_bytes(&s.compile(BASE).unwrap()));
 }
 
-// ---------------------------------------------------------------------
-// Byte-identity differentials: incremental vs whole-program
-// ---------------------------------------------------------------------
-
-/// Cold and warm (post-edit) compiles under every variant — including
-/// the MTD-using ones — must match whole-program output byte for byte.
+/// An edit sequence — including an undo back to the first version,
+/// served from the artifact cache — under every variant, the MTD-using
+/// ones included, compiled by one long-lived session per variant.
 #[test]
 fn edit_differential_all_variants() {
     let edits = [
@@ -192,29 +72,33 @@ fn edit_differential_all_variants() {
         format!("{BASE}\nval tail = id 7\nval _ = print (itos tail)"),
         BASE.replace("fun id x = x", "fun id x = (x, x)\nfun fst (a, _) = a")
             .replace("id 1", "fst (id 1)"),
+        BASE.to_owned(),
     ];
     for v in Variant::ALL {
-        let (incr, whole) = session_pair(v);
+        let warm = Session::with_variant(v);
         for (i, src) in edits.iter().enumerate() {
-            assert_differential(&incr, &whole, src, &format!("{v} edit {i}"));
+            assert_matches_fresh(&warm, src, &format!("{v} edit {i}"));
         }
+        assert_eq!(warm.cache_stats().hits, 1, "{v}: the undo must hit");
     }
 }
 
-/// Progen sweep: each seed's program compiles identically through the
-/// suffix-replay path, then again after a synthesized append (warm
-/// replay over a cached prefix). 60 seeds here; the full 200-seed sweep
-/// runs in `incr_bench` (release).
+/// Progen sweep: each seed's program, then the same program with one
+/// declaration appended, through one long-lived session per variant
+/// shared by all 60 seeds.
 #[test]
 fn progen_differential_byte_identity() {
     let cfg = GenConfig::default();
+    let warm: Vec<Session> = Variant::ALL
+        .iter()
+        .map(|&v| Session::with_variant(v))
+        .collect();
     for seed in 0..60u64 {
         let mut rng = Rng::new(seed);
         let src = gen_program(&mut rng, &cfg);
-        let v = *Rng::new(seed ^ 0xC0FFEE).pick(&Variant::ALL);
-        let (incr, whole) = session_pair(v);
-        assert_differential(&incr, &whole, &src, &format!("seed {seed} cold"));
+        let session = Rng::new(seed ^ 0xC0FFEE).pick(&warm);
+        assert_matches_fresh(session, &src, &format!("seed {seed}"));
         let appended = format!("{src}\nval zz_{seed} = {seed}");
-        assert_differential(&incr, &whole, &appended, &format!("seed {seed} warm"));
+        assert_matches_fresh(session, &appended, &format!("seed {seed} appended"));
     }
 }

@@ -2,7 +2,7 @@
 //! in-process Unix-socket server (results byte-identical to solo
 //! compiles), the wire protocol's error taxonomy, and the `smlc serve`
 //! binary's graceful EOF and SIGTERM shutdown paths with final stats
-//! flushed to stderr.
+//! flushed to stderr, and the CLI's subcommand dispatch.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use smlc::{CompileServer, Json, Session, Variant};
+use smlc::{CompileServer, Json, Limits, Session, Variant};
 
 /// A unique socket path per test (tests run concurrently in one
 /// process).
@@ -178,6 +178,57 @@ fn error_responses_carry_the_exit_code_taxonomy() {
     });
 }
 
+/// A request line longer than the cap the session's limits imply is
+/// discarded and answered, in order, with a typed `limit` error; the
+/// next request on the same connection is served normally.
+#[test]
+fn over_long_request_line_gets_a_limit_error() {
+    let path = socket_path("too-long");
+    let shutdown = AtomicBool::new(false);
+    let limits = Limits {
+        max_source_bytes: 64,
+        ..Limits::default()
+    };
+    let session = Session::builder().limits(limits).build().unwrap();
+    let server = CompileServer::new(session).workers(2);
+
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| server.serve_unix(&path, &shutdown).unwrap());
+        let mut stream = connect(&path);
+        // 64 source bytes admit a line of at most 64 * 6 + 4096 bytes.
+        let huge = format!("{{\"id\": 1, \"src\": {}}}", quoted(&"x".repeat(64 << 10)));
+        writeln!(stream, "{huge}").unwrap();
+        writeln!(
+            stream,
+            "{{\"id\": 2, \"src\": \"val _ = print (itos 6)\", \"run\": true}}"
+        )
+        .unwrap();
+        stream.flush().unwrap();
+
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut next = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+        };
+        let rejected = next();
+        assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
+        let err = rejected.get("error").expect("error object");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("limit"));
+        assert_eq!(err.get("phase").and_then(Json::as_str), Some("request"));
+        assert_eq!(rejected.get("exit_code").and_then(Json::as_i64), Some(4));
+
+        let served = next();
+        assert_eq!(served.get("id").and_then(Json::as_i64), Some(2));
+        assert_eq!(served.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(served.get("output").and_then(Json::as_str), Some("6"));
+
+        shutdown.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.jobs, 2);
+    });
+}
+
 /// A `{"op":"shutdown"}` request stops the whole server gracefully.
 #[test]
 fn shutdown_op_stops_the_server() {
@@ -302,6 +353,28 @@ fn serve_socket_sigterm_shutdown() {
     assert_eq!(server.get("jobs").and_then(Json::as_i64), Some(1));
     assert_eq!(server.get("clients").and_then(Json::as_i64), Some(1));
     assert!(!path.exists(), "socket file must be removed on SIGTERM");
+}
+
+/// A first argument that is not a subcommand is a usage error (exit
+/// 2); the same file under `smlc run` compiles and runs.
+#[test]
+fn cli_requires_a_subcommand() {
+    let path = std::env::temp_dir().join(format!("smlc-test-{}-cli.sml", std::process::id()));
+    std::fs::write(&path, "val _ = print (itos (6 * 7))").unwrap();
+
+    let bare = smlc().arg(&path).output().unwrap();
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(bare.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&bare.stderr).contains("usage"));
+
+    let run = smlc().arg("run").arg(&path).output().unwrap();
+    assert!(
+        run.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&run.stdout), "42");
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The `smlc client` subcommand drives a served socket end to end.

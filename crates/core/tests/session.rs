@@ -2,7 +2,8 @@
 //! (a hit is byte-identical to a forced recompile, including under
 //! fault injection), warm-session determinism (reusing a session's LTY
 //! table never changes generated code), LRU eviction accounting, batch
-//! dedup, VM-configuration routing, and builder validation.
+//! dedup, source-keyed lookups, VM-configuration routing, and builder
+//! validation.
 
 use smlc::{CompileError, Compiled, FaultInject, Job, Session, Variant, VmConfig, VmResult};
 
@@ -261,6 +262,27 @@ fn lru_eviction_respects_capacity() {
     // srcs[2] is still resident.
     let resident = session.compile(srcs[2]).expect("compiles");
     assert!(resident.from_cache, "most recent entry must still hit");
+}
+
+/// The cache is keyed on the source text itself, so two sources whose
+/// 64-bit FxHash digests and lengths coincide (this pair does) each
+/// keep their own entry instead of evicting one another.
+#[test]
+fn digest_colliding_sources_both_stay_cached() {
+    let session = Session::with_variant(Variant::Ffb);
+    let a = "val x = 1 (*    aaaaaaaabbbbbbbb*)";
+    let b = "val x = 1 (*    I+3az17v}cJ44kMe*)";
+    for src in [a, b] {
+        assert!(!session.compile(src).expect("compiles").from_cache);
+    }
+    for src in [a, b] {
+        assert!(
+            session.compile(src).expect("compiles").from_cache,
+            "{src} was evicted by its digest twin"
+        );
+    }
+    let stats = session.cache_stats();
+    assert_eq!((stats.entries, stats.hits, stats.evictions), (2, 2, 0));
 }
 
 #[test]
