@@ -13,7 +13,7 @@
 //! smlc run --batch a.sml b.sml c.sml   # compile a batch in parallel, run in order
 //! smlc run -e 'val _ = print "hi\n"'   # compile a command-line snippet
 //! smlc run --emit asm program.sml      # disassemble instead of running
-//! smlc run --dispatch=threaded p.sml   # pre-decoded threaded dispatch engine
+//! smlc run --dispatch=decode p.sml     # per-instruction reference engine
 //! smlc run --verify-ir always p.sml    # re-check every IR behind each phase
 //! ```
 //!

@@ -1012,11 +1012,14 @@ mod tests {
         let verified = fingerprint(&SessionBuilder::default().verify_ir(VerifyIr::Always));
         let unverified = fingerprint(&SessionBuilder::default().verify_ir(VerifyIr::Off));
         assert_ne!(verified, unverified);
-        let threaded = fingerprint(&SessionBuilder::default().vm_config(VmConfig {
-            dispatch: sml_vm::Dispatch::Threaded,
-            ..VmConfig::default()
-        }));
-        let decode = fingerprint(&SessionBuilder::default().vm_config(VmConfig::default()));
+        let engine = |dispatch| {
+            fingerprint(&SessionBuilder::default().vm_config(VmConfig {
+                dispatch,
+                ..VmConfig::default()
+            }))
+        };
+        let threaded = engine(sml_vm::Dispatch::Threaded);
+        let decode = engine(sml_vm::Dispatch::Decode);
         assert_ne!(threaded, decode, "dispatch engine must be fingerprinted");
     }
 

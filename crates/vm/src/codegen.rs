@@ -139,6 +139,7 @@ pub fn codegen(prog: &ClosedProgram) -> MachineProgram {
         blocks,
         entry: 0,
         pool,
+        predecoded: Default::default(),
     }
 }
 

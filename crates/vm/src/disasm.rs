@@ -807,6 +807,7 @@ mod tests {
             }],
             entry: 0,
             pool: vec!["hi".into()],
+            predecoded: Default::default(),
         };
         let s = format!("{prog}");
         assert!(s.contains("pool[0] = \"hi\""), "{s}");

@@ -7,6 +7,8 @@
 //! aligned heap pointers (low bit clear). Raw IEEE doubles live in the
 //! float register file and in the raw parts of heap records.
 
+pub use crate::threaded::PredecodeCache;
+
 /// An integer register (0..31 hardware, 32..63 spill-modelled).
 pub type Reg = u8;
 /// A float register.
@@ -353,7 +355,7 @@ pub struct CodeBlock {
 }
 
 /// A complete machine program.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct MachineProgram {
     /// Code blocks; `Jump { label }` indexes this vector.
     pub blocks: Vec<CodeBlock>,
@@ -362,6 +364,23 @@ pub struct MachineProgram {
     /// String literals, pre-allocated in the immortal heap region at
     /// startup.
     pub pool: Vec<String>,
+    /// The threaded engine's pre-decoded stream and run tables, built
+    /// on first use and shared by every instance that runs this
+    /// program. Construct it with `Default::default()`; see
+    /// [`PredecodeCache`] before editing a program that has run.
+    pub predecoded: PredecodeCache,
+}
+
+/// The program's content only: whether the pre-decode cache has been
+/// built yet is no part of what the program is.
+impl std::fmt::Debug for MachineProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MachineProgram")
+            .field("blocks", &self.blocks)
+            .field("entry", &self.entry)
+            .field("pool", &self.pool)
+            .finish()
+    }
 }
 
 impl MachineProgram {

@@ -1,5 +1,5 @@
-//! The threaded execution engine: pre-decoded dispatch with peephole
-//! superinstructions.
+//! The threaded execution engine (the default): pre-decoded dispatch
+//! with peephole superinstructions and run-granular accounting.
 //!
 //! [`predecode`] flattens each [`CodeBlock`]'s `Vec<Instr>` into a
 //! stream of compact, fixed-size [`TInstr`] handler records — the
@@ -14,15 +14,36 @@
 //! its second instruction, so every branch target lands on a record
 //! boundary.
 //!
-//! [`run_slice_threaded`] executes the stream through the same
-//! `#[inline(always)]` [`Engine`] handlers as the decode loop, with
-//! byte-identical per-instruction accounting: each constituent of a
-//! superinstruction is counted, attributed, and fuel-checked exactly as
-//! if decoded separately (the fuel check between the halves mirrors the
-//! decode loop's top-of-iteration check). The only observable
-//! differences are wall-clock speed and slice-preemption granularity —
-//! a pair never splits across a scheduler slice, so a slice may overrun
-//! by one extra instruction.
+//! # Run tables
+//!
+//! Most records are *static*: what they add to [`RunStats`] depends on
+//! the instruction alone. The *dynamic* ones are `Slow`, `FBox`, `Halt`
+//! and `Uncaught` (allocation, runtime calls, run exits). The
+//! pre-decoder gives every record where control can enter — a block
+//! start, a branch target, the record after a control transfer or a
+//! dynamic record — a [`RunCost`]: the cycles (spill charges included),
+//! instructions and per-class deltas of the straight-line run of static
+//! records from there up to and including the first control transfer,
+//! or up to the next dynamic record or the block end. The `fp3_overhead`
+//! jump surcharge is kept apart (a run holds at most one jump), so the
+//! tables do not depend on the [`VmConfig`](crate::vm::VmConfig).
+//!
+//! [`run_slice_threaded`] takes a run on the fast path when no
+//! incremental major is active (so no read barrier can copy) and the
+//! whole run fits under both the fuel limit and the slice's quantum: it
+//! charges the run's cycles once, executes the records through the
+//! `C = false` (uncharged) instantiation of the [`Engine`] handlers, and
+//! bumps the run's counter in [`RunCounts`]; the counters are folded
+//! into [`RunStats`] at every slice exit. Everything else — a run that
+//! would cross a fuel or quantum boundary, a dynamic record, a position
+//! mid-run — goes through the per-record path, which accounts each
+//! constituent exactly as the decode loop does (including the fuel and
+//! quantum checks between the halves of a pair). Results, output,
+//! every counter, and every `OutOfFuel` and preemption point are
+//! therefore identical to [`Dispatch::Decode`](crate::vm::Dispatch),
+//! which stays as the per-instruction reference. A trap inside a
+//! fast-path run refunds the cycles of the records that did not run:
+//! every static handler charges its full cost before it can fail.
 //!
 //! Instructions with vector operands or runtime-call bodies
 //! (`Alloc`, `Switch`, `Rt`, ...) stay in the original stream and
@@ -30,13 +51,18 @@
 //! [`Engine::step`] — they are rare in hot code and not worth
 //! flattening.
 //!
-//! The pre-decoded stream is itself verified: `verify::verify_threaded`
-//! round-trips every record back to the original instructions and
-//! re-checks operand bounds, so the typed chain covers the stream the
-//! VM actually executes.
+//! The stream and its run tables are built once per program, on first
+//! use, and cached in [`MachineProgram::predecoded`]: repeated runs and
+//! every tenant of one shared program execute the same copy, and an
+//! instance holds only its run counters. `verify::verify_threaded`
+//! checks that cached copy — every record round-trips to the original
+//! instructions and every run's length and costs agree with its
+//! records.
 
 use crate::isa::*;
-use crate::vm::{drain_barrier, Engine, VmInstance, VmResult};
+use crate::verify::operand_regs;
+use crate::vm::{drain_barrier, static_cycles, Engine, RunStats, VmInstance, VmResult};
+use std::sync::OnceLock;
 
 /// One pre-decoded handler record. Flat (no heap indirection), `Copy`,
 /// and small; branch targets are in *threaded* coordinates (record
@@ -228,8 +254,8 @@ pub(crate) enum TInstr {
     },
 }
 
-/// One block's pre-decoded stream plus the two coordinate maps between
-/// original pcs and record indices.
+/// One block's pre-decoded stream, the two coordinate maps between
+/// original pcs and record indices, and where its runs start.
 pub(crate) struct ThreadedBlock {
     /// The handler records.
     pub(crate) code: Vec<TInstr>,
@@ -241,16 +267,159 @@ pub(crate) struct ThreadedBlock {
     /// constituent (length `code.len() + 1`;
     /// `tpc_to_pc[code.len()] == n`).
     pub(crate) tpc_to_pc: Vec<u32>,
+    /// `run_at[rec]` indexes [`ThreadedProgram::runs`] for the run that
+    /// starts at record `rec`, or is [`NO_RUN`] (length `code.len()`).
+    pub(crate) run_at: Vec<u32>,
 }
 
-/// A whole program's pre-decoded streams, built once per
-/// [`VmInstance`].
+/// A whole program's pre-decoded streams and run tables, built once
+/// per program and cached in [`MachineProgram::predecoded`].
 pub(crate) struct ThreadedProgram {
     pub(crate) blocks: Vec<ThreadedBlock>,
+    /// Every run in the program, indexed by [`ThreadedBlock::run_at`].
+    pub(crate) runs: Vec<RunCost>,
     /// Superinstructions the peephole selector fused.
     pub(crate) fused: u64,
     /// Total handler records across all blocks.
     pub(crate) stream_len: u64,
+}
+
+/// [`ThreadedBlock::run_at`] for a record where no run starts.
+pub(crate) const NO_RUN: u32 = u32::MAX;
+
+/// The lazily built pre-decoded form of a [`MachineProgram`]: its
+/// threaded stream and run tables. It is built by the first threaded
+/// [`VmInstance`] (or `verify_threaded`) and shared by every later one.
+/// Start it empty with `Default::default()`. A clone starts empty
+/// again, so a clone may be edited freely; a program that has already
+/// run must not be edited in place, or the cache goes stale (which
+/// `verify_threaded` reports).
+#[derive(Default)]
+pub struct PredecodeCache(OnceLock<ThreadedProgram>);
+
+impl Clone for PredecodeCache {
+    fn clone(&self) -> PredecodeCache {
+        PredecodeCache::default()
+    }
+}
+
+/// The program's pre-decoded form, built on first use.
+pub(crate) fn threaded(prog: &MachineProgram) -> &ThreadedProgram {
+    prog.predecoded.0.get_or_init(|| predecode(prog))
+}
+
+/// What executing a straight-line stretch of static records adds to
+/// [`RunStats`] on the per-record path, absent a trap: the unit the
+/// run tables store and the fast path charges.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RunCost {
+    /// Handler records in the run.
+    pub(crate) records: u32,
+    /// Instructions (constituents) in the run.
+    pub(crate) instrs: u32,
+    /// `Jump`/`JumpReg` constituents (at most one); each pays one more
+    /// cycle under `fp3_overhead`, not included in the cycle fields.
+    pub(crate) jumps: u32,
+    /// Modelled cycles, spill charges included.
+    pub(crate) cycles: u64,
+    /// Instructions per [`InstrClass`].
+    pub(crate) instrs_by_class: [u32; N_INSTR_CLASSES],
+    /// Cycles per [`InstrClass`].
+    pub(crate) cycles_by_class: [u64; N_INSTR_CLASSES],
+}
+
+/// Counts operands in the spill-modelled register range.
+struct Spilled(u64);
+
+impl Extend<u8> for Spilled {
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, regs: I) {
+        self.0 += regs.into_iter().filter(|&r| r >= HW_REGS).count() as u64;
+    }
+}
+
+impl RunCost {
+    /// Adds one instruction's static cost, exactly what its handler
+    /// charges (2 cycles per spilled operand on top of
+    /// [`static_cycles`]); `false`, leaving `self` unchanged, for an
+    /// instruction without one.
+    pub(crate) fn add_instr(&mut self, ins: &Instr) -> bool {
+        let Some(base) = static_cycles(ins) else {
+            return false;
+        };
+        let (mut r, mut f) = (Spilled(0), Spilled(0));
+        operand_regs(ins, &mut r, &mut f);
+        let cycles = base + 2 * (r.0 + f.0);
+        let class = ins.class() as usize;
+        self.instrs += 1;
+        self.cycles += cycles;
+        self.instrs_by_class[class] += 1;
+        self.cycles_by_class[class] += cycles;
+        self.jumps += matches!(ins, Instr::Jump { .. } | Instr::JumpReg { .. }) as u32;
+        true
+    }
+
+    /// The static cost of the instructions `instrs`, or `None` if one
+    /// has no static cost. `records` is left at 0.
+    pub(crate) fn of(instrs: &[Instr]) -> Option<RunCost> {
+        let mut c = RunCost::default();
+        instrs.iter().all(|i| c.add_instr(i)).then_some(c)
+    }
+
+    /// Appends `next`, the stretch that directly follows this one.
+    fn then(mut self, next: &RunCost) -> RunCost {
+        self.records += next.records;
+        self.instrs += next.instrs;
+        self.jumps += next.jumps;
+        self.cycles += next.cycles;
+        for k in 0..N_INSTR_CLASSES {
+            self.instrs_by_class[k] += next.instrs_by_class[k];
+            self.cycles_by_class[k] += next.cycles_by_class[k];
+        }
+        self
+    }
+
+    /// The cycles the stretch charges, jump surcharge included.
+    #[inline(always)]
+    pub(crate) fn total(&self, fp3: bool) -> u64 {
+        self.cycles + if fp3 { self.jumps as u64 } else { 0 }
+    }
+
+    /// Adds `times` executions of the stretch to every counter but
+    /// `cycles`, which the engine charges when it enters the run.
+    fn attribute(&self, stats: &mut RunStats, times: u64, fp3: bool) {
+        stats.instrs += times * self.instrs as u64;
+        for k in 0..N_INSTR_CLASSES {
+            stats.instrs_by_class[k] += times * self.instrs_by_class[k] as u64;
+            stats.cycles_by_class[k] += times * self.cycles_by_class[k];
+        }
+        if fp3 {
+            stats.cycles_by_class[InstrClass::Jump as usize] += times * self.jumps as u64;
+        }
+    }
+}
+
+/// Whether a record ends a run by transferring control.
+pub(crate) fn is_transfer(t: &TInstr) -> bool {
+    matches!(
+        t,
+        TInstr::Branch { .. }
+            | TInstr::FBranch { .. }
+            | TInstr::Jump { .. }
+            | TInstr::JumpReg { .. }
+            | TInstr::LoadIBranch { .. }
+            | TInstr::LoadBranch { .. }
+            | TInstr::ArithBranch { .. }
+            | TInstr::MoveJump { .. }
+    )
+}
+
+/// Whether a record's accounting depends on run-time state (or ends
+/// the run), so it never sits inside a run.
+pub(crate) fn is_dynamic(t: &TInstr) -> bool {
+    matches!(
+        t,
+        TInstr::Slow { .. } | TInstr::FBox { .. } | TInstr::Halt { .. } | TInstr::Uncaught { .. }
+    )
 }
 
 /// Is `(i1, i2)` a fusable pair? Branch-consuming pairs additionally
@@ -423,9 +592,10 @@ fn translate_pair(i1: &Instr, i2: &Instr, pc_map: &[u32]) -> TInstr {
 }
 
 /// Pre-decodes one block: segments the instruction stream into records
-/// (pass 1), then emits them with branch targets mapped into threaded
-/// coordinates (pass 2).
-fn predecode_block(b: &CodeBlock) -> (ThreadedBlock, u64) {
+/// (pass 1), emits them with branch targets mapped into threaded
+/// coordinates (pass 2), and appends the block's runs to `runs`
+/// (pass 3).
+fn predecode_block(b: &CodeBlock, runs: &mut Vec<RunCost>) -> (ThreadedBlock, u64) {
     let instrs = &b.instrs;
     let n = instrs.len();
 
@@ -479,29 +649,63 @@ fn predecode_block(b: &CodeBlock) -> (ThreadedBlock, u64) {
     }
     let mut tpc_to_pc = starts;
     tpc_to_pc.push(n as u32);
+
+    // Pass 3: run tables, right to left, carrying the run that starts
+    // at the following record (`None` after a dynamic record or at the
+    // block end). A run is recorded wherever control can enter.
+    let mut run_at = vec![NO_RUN; code.len()];
+    let mut next: Option<RunCost> = None;
+    for rec in (0..code.len()).rev() {
+        let t = &code[rec];
+        let span = tpc_to_pc[rec] as usize..tpc_to_pc[rec + 1] as usize;
+        let own = match RunCost::of(&instrs[span]) {
+            Some(c) if !is_dynamic(t) => RunCost { records: 1, ..c },
+            _ => {
+                next = None;
+                continue;
+            }
+        };
+        let run = match &next {
+            Some(rest) if !is_transfer(t) => own.then(rest),
+            _ => own,
+        };
+        next = Some(run);
+        let entered = rec == 0
+            || is_target[tpc_to_pc[rec] as usize]
+            || is_transfer(&code[rec - 1])
+            || is_dynamic(&code[rec - 1]);
+        if entered {
+            run_at[rec] = runs.len() as u32;
+            runs.push(run);
+        }
+    }
     (
         ThreadedBlock {
             code,
             pc_map,
             tpc_to_pc,
+            run_at,
         },
         fused,
     )
 }
 
-/// Pre-decodes a whole program into threaded streams.
+/// Pre-decodes a whole program into threaded streams and run tables
+/// (uncached; [`threaded`] is the cached entry point).
 pub(crate) fn predecode(prog: &MachineProgram) -> ThreadedProgram {
     let mut blocks = Vec::with_capacity(prog.blocks.len());
+    let mut runs = Vec::new();
     let mut fused = 0u64;
     let mut stream_len = 0u64;
     for b in &prog.blocks {
-        let (tb, f) = predecode_block(b);
+        let (tb, f) = predecode_block(b, &mut runs);
         fused += f;
         stream_len += tb.code.len() as u64;
         blocks.push(tb);
     }
     ThreadedProgram {
         blocks,
+        runs,
         fused,
         stream_len,
     }
@@ -623,20 +827,353 @@ pub(crate) fn expand(t: &TInstr, tb: &ThreadedBlock) -> Option<Vec<Instr>> {
     })
 }
 
+/// One instance's run counters: how often each run of its program took
+/// the fast path since the last slice exit, and which runs did. The
+/// tables themselves live with the program.
+#[derive(Default)]
+pub(crate) struct RunCounts {
+    counts: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl RunCounts {
+    /// Zeroed counters for a program with `runs` runs.
+    pub(crate) fn new(runs: usize) -> RunCounts {
+        RunCounts {
+            counts: vec![0; runs],
+            touched: Vec::new(),
+        }
+    }
+
+    #[inline(always)]
+    fn bump(&mut self, run: u32) {
+        let c = &mut self.counts[run as usize];
+        if *c == 0 {
+            self.touched.push(run);
+        }
+        *c += 1;
+    }
+
+    /// Folds the counters into `stats` and zeroes them.
+    fn fold(&mut self, runs: &[RunCost], stats: &mut RunStats, fp3: bool) {
+        for &r in &self.touched {
+            let times = std::mem::take(&mut self.counts[r as usize]);
+            runs[r as usize].attribute(stats, times, fp3);
+        }
+        self.touched.clear();
+    }
+}
+
+/// Per-constituent accounting, identical to one decode-loop iteration:
+/// count, snapshot, execute, drain the read barrier, attribute mutator
+/// vs. GC cycles.
+macro_rules! acct {
+    ($eng:ident, $class:expr, $e:expr) => {{
+        let class = $class as usize;
+        $eng.stats.instrs += 1;
+        $eng.stats.instrs_by_class[class] += 1;
+        let cycles_before = $eng.stats.cycles;
+        let gc_before = $eng.stats.gc_cycles;
+        let r = $e;
+        drain_barrier(&mut *$eng.heap, &mut *$eng.stats);
+        let gc_delta = $eng.stats.gc_cycles - gc_before;
+        $eng.stats.cycles_by_class[class] += $eng.stats.cycles - cycles_before - gc_delta;
+        $eng.stats.cycles_by_class[InstrClass::Gc as usize] += gc_delta;
+        r
+    }};
+}
+
+/// Where control goes after one record. It carries indices only, so
+/// it stays in registers; a run's final result travels through the
+/// `out` argument of [`exec`].
+#[derive(Clone, Copy)]
+enum Flow {
+    /// Record `tpc` of the current block (fall-through or a branch).
+    At(usize),
+    /// The first record of `eng.block` (a jump, already taken).
+    Enter,
+    /// Original pc `eng.pc` of `eng.block` (after a slow record, which
+    /// may have redirected it).
+    Rejoin,
+    /// The run ended — a halt or a trap, stored in `out` — after `done`
+    /// of the record's constituents, the failing one included.
+    End(usize),
+    /// Fuel (`out` holds `OutOfFuel`) or the quantum (`out` stays
+    /// `None`) ran out between the halves of a pair; per-record path
+    /// only.
+    Split,
+}
+
+/// Executes record `tpc` of `tb`. With `C` (the per-record path) every
+/// constituent is accounted like a decode-loop step, and fuel and the
+/// quantum are checked between the halves of a pair. Without it (inside
+/// a fast-path run, whose cost is already charged) the static handlers
+/// charge nothing. Dynamic records always account for themselves; they
+/// never sit inside a run.
+#[inline(always)]
+fn exec<const C: bool>(
+    eng: &mut Engine<'_, '_>,
+    tb: &ThreadedBlock,
+    tpc: usize,
+    stop_at: u64,
+    out: &mut Option<VmResult>,
+) -> Flow {
+    macro_rules! h {
+        ($class:ident, $e:expr) => {
+            if C {
+                acct!(eng, InstrClass::$class, $e)
+            } else {
+                $e
+            }
+        };
+    }
+    macro_rules! ok {
+        ($r:expr, $done:expr) => {
+            match $r {
+                Ok(v) => v,
+                Err(end) => {
+                    *out = Some(end);
+                    return Flow::End($done);
+                }
+            }
+        };
+    }
+    // The decode loop checks fuel and the quantum before every
+    // instruction; between the halves of a pair this reproduces that.
+    macro_rules! between {
+        () => {
+            if C {
+                if eng.stats.cycles > eng.cfg.max_cycles {
+                    *out = Some(VmResult::OutOfFuel);
+                    return Flow::Split;
+                }
+                if eng.stats.cycles >= stop_at {
+                    return Flow::Split;
+                }
+            }
+        };
+    }
+    // Branch-on-false: a false comparison goes to the target.
+    let branch = |taken: bool, t: u32| Flow::At(if taken { tpc + 1 } else { t as usize });
+    let next = Flow::At(tpc + 1);
+    match tb.code[tpc] {
+        TInstr::Move { d, s } => {
+            h!(Move, eng.m_move::<C>(d, s));
+            next
+        }
+        TInstr::FMove { d, s } => {
+            h!(Move, eng.m_fmove::<C>(d, s));
+            next
+        }
+        TInstr::LoadI { d, imm } => {
+            h!(Move, eng.m_loadi::<C>(d, imm));
+            next
+        }
+        TInstr::LoadF { d, imm } => {
+            h!(Move, eng.m_loadf::<C>(d, imm));
+            next
+        }
+        TInstr::LoadStr { d, pool } => {
+            ok!(h!(Move, eng.m_loadstr::<C>(d, pool)), 1);
+            next
+        }
+        TInstr::LoadLabel { d, label } => {
+            h!(Move, eng.m_loadlabel::<C>(d, label));
+            next
+        }
+        TInstr::Arith { op, d, a, b } => {
+            ok!(h!(IntArith, eng.m_arith::<C>(op, d, a, b)), 1);
+            next
+        }
+        TInstr::FArith { op, d, a, b } => {
+            h!(FloatArith, eng.m_farith::<C>(op, d, a, b));
+            next
+        }
+        TInstr::FUnary { op, d, a } => {
+            h!(FloatArith, eng.m_funary::<C>(op, d, a));
+            next
+        }
+        TInstr::Floor { d, a } => {
+            h!(FloatArith, eng.m_floor::<C>(d, a));
+            next
+        }
+        TInstr::IntToReal { d, a } => {
+            h!(FloatArith, eng.m_inttoreal::<C>(d, a));
+            next
+        }
+        TInstr::Load { d, base, off } => {
+            ok!(h!(Memory, eng.m_load::<C>(d, base, off)), 1);
+            next
+        }
+        TInstr::Store { s, base, off } => {
+            ok!(h!(Memory, eng.m_store::<C>(s, base, off)), 1);
+            next
+        }
+        TInstr::StoreWB { s, base, off } => {
+            ok!(h!(Memory, eng.m_storewb::<C>(s, base, off)), 1);
+            next
+        }
+        TInstr::FLoad { d, base, off } => {
+            ok!(h!(Memory, eng.m_fload::<C>(d, base, off)), 1);
+            next
+        }
+        TInstr::FStore { s, base, off } => {
+            ok!(h!(Memory, eng.m_fstore::<C>(s, base, off)), 1);
+            next
+        }
+        TInstr::LoadIdx { d, base, idx } => {
+            ok!(h!(Memory, eng.m_loadidx::<C>(d, base, idx)), 1);
+            next
+        }
+        TInstr::StoreIdx { s, base, idx } => {
+            ok!(h!(Memory, eng.m_storeidx::<C>(s, base, idx)), 1);
+            next
+        }
+        TInstr::StoreIdxWB { s, base, idx } => {
+            ok!(h!(Memory, eng.m_storeidxwb::<C>(s, base, idx)), 1);
+            next
+        }
+        TInstr::ArrLen { d, a } => {
+            ok!(h!(Memory, eng.m_arrlen::<C>(d, a)), 1);
+            next
+        }
+        TInstr::FUnbox { d, s } => {
+            ok!(h!(Memory, eng.m_funbox::<C>(d, s)), 1);
+            next
+        }
+        TInstr::Branch { op, a, b, t } => branch(h!(Branch, eng.m_branch::<C>(op, a, b)), t),
+        TInstr::FBranch { op, a, b, t } => branch(h!(Branch, eng.m_fbranch::<C>(op, a, b)), t),
+        TInstr::Jump { label } => {
+            h!(Jump, eng.m_jump::<C>());
+            eng.block = label as usize;
+            eng.pc = 0;
+            Flow::Enter
+        }
+        TInstr::JumpReg { r } => {
+            eng.block = ok!(h!(Jump, eng.m_jumpreg::<C>(r)), 1);
+            eng.pc = 0;
+            Flow::Enter
+        }
+        TInstr::GetHdlr { d } => {
+            h!(Control, eng.m_gethdlr::<C>(d));
+            next
+        }
+        TInstr::SetHdlr { s } => {
+            h!(Control, eng.m_sethdlr::<C>(s));
+            next
+        }
+        TInstr::LoadIArith {
+            imm,
+            di,
+            op,
+            d,
+            a,
+            b,
+        } => {
+            h!(Move, eng.m_loadi::<C>(di, imm));
+            between!();
+            ok!(h!(IntArith, eng.m_arith::<C>(op, d, a, b)), 2);
+            next
+        }
+        TInstr::LoadIBranch {
+            imm,
+            di,
+            op,
+            a,
+            b,
+            t,
+        } => {
+            h!(Move, eng.m_loadi::<C>(di, imm));
+            between!();
+            branch(h!(Branch, eng.m_branch::<C>(op, a, b)), t)
+        }
+        TInstr::LoadBranch {
+            dl,
+            base,
+            off,
+            op,
+            a,
+            b,
+            t,
+        } => {
+            ok!(h!(Memory, eng.m_load::<C>(dl, base, off)), 1);
+            between!();
+            branch(h!(Branch, eng.m_branch::<C>(op, a, b)), t)
+        }
+        TInstr::ArithBranch {
+            aop,
+            ad,
+            aa,
+            ab,
+            op,
+            a,
+            b,
+            t,
+        } => {
+            ok!(h!(IntArith, eng.m_arith::<C>(aop, ad, aa, ab)), 1);
+            between!();
+            branch(h!(Branch, eng.m_branch::<C>(op, a, b)), t)
+        }
+        TInstr::MoveJump { d, s, label } => {
+            h!(Move, eng.m_move::<C>(d, s));
+            between!();
+            h!(Jump, eng.m_jump::<C>());
+            eng.block = label as usize;
+            eng.pc = 0;
+            Flow::Enter
+        }
+        TInstr::FBox { d, s } => {
+            ok!(acct!(eng, InstrClass::Alloc, eng.m_fbox(d, s)), 1);
+            next
+        }
+        TInstr::Halt { s } => {
+            *out = Some(acct!(eng, InstrClass::Control, eng.m_halt(s)));
+            Flow::End(1)
+        }
+        TInstr::Uncaught { s } => {
+            *out = Some(acct!(eng, InstrClass::Control, eng.m_uncaught(s)));
+            Flow::End(1)
+        }
+        TInstr::Slow { pc } => {
+            let prog = eng.prog;
+            let instr = &prog.blocks[eng.block].instrs[pc as usize];
+            eng.pc = pc as usize + 1;
+            ok!(acct!(eng, instr.class(), eng.step(instr)), 1);
+            Flow::Rejoin
+        }
+    }
+}
+
+/// The record holding original instruction `pc` of `block`, plus `pc`
+/// itself when it has no record of its own: out of range (a fetch
+/// fault), or the second half of a pair (a resume after a preemption
+/// between the halves).
+fn locate(tp: &ThreadedProgram, block: usize, pc: usize) -> (usize, Option<usize>) {
+    match tp.blocks.get(block) {
+        Some(tb) if pc < tb.pc_map.len() => {
+            let rec = tb.pc_map[pc] as usize;
+            if tb.tpc_to_pc[rec] as usize == pc {
+                (rec, None)
+            } else {
+                (tb.code.len(), Some(pc))
+            }
+        }
+        Some(tb) => (tb.code.len(), Some(pc)),
+        None => (0, Some(pc)),
+    }
+}
+
 /// The threaded dispatch loop: same contract as the decode loop
 /// (`VmInstance::run_slice_decode`), same [`Engine`] handlers, same
-/// accounting — only the fetch/decode mechanics differ.
+/// counters and the same fuel and preemption points; straight-line runs
+/// that fit take the fast path (see the module docs).
 pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool {
     if vm.finished.is_some() {
         return true;
     }
     let stop_at = vm.stats.cycles.saturating_add(quantum);
-    let mut out: Option<VmResult> = None;
-    let (block, pc) = {
-        let tp = vm
-            .threaded
-            .as_ref()
-            .expect("threaded dispatch without a pre-decoded stream");
+    let tp = threaded(&vm.prog);
+    let (out, block, pc) = {
         let mut eng = Engine {
             prog: &vm.prog,
             cfg: &vm.cfg,
@@ -651,338 +1188,119 @@ pub(crate) fn run_slice_threaded(vm: &mut VmInstance<'_>, quantum: u64) -> bool 
             block: vm.block,
             pc: vm.pc,
         };
-        // The threaded program counter, plus the original pc to report
-        // if the current position has no threaded coordinate (an
-        // out-of-range pc carried in from a branch or a resume).
-        let mut tpc: usize;
-        let mut bad_pc: Option<usize>;
-        if eng.block < tp.blocks.len() {
-            let tb = &tp.blocks[eng.block];
-            if eng.pc < tb.pc_map.len() {
-                tpc = tb.pc_map[eng.pc] as usize;
-                bad_pc = None;
-            } else {
-                tpc = tb.code.len();
-                bad_pc = Some(eng.pc);
-            }
-        } else {
-            tpc = 0;
-            bad_pc = Some(eng.pc);
-        }
-
-        // Per-constituent accounting, identical to one decode-loop
-        // iteration: count, snapshot, execute, drain the read barrier,
-        // attribute mutator vs. GC cycles.
-        macro_rules! acct {
-            ($class:expr, $e:expr) => {{
-                let class = $class as usize;
-                eng.stats.instrs += 1;
-                eng.stats.instrs_by_class[class] += 1;
-                let cycles_before = eng.stats.cycles;
-                let gc_before = eng.stats.gc_cycles;
-                let r = $e;
-                drain_barrier(&mut *eng.heap, &mut *eng.stats);
-                let gc_delta = eng.stats.gc_cycles - gc_before;
-                eng.stats.cycles_by_class[class] += eng.stats.cycles - cycles_before - gc_delta;
-                eng.stats.cycles_by_class[InstrClass::Gc as usize] += gc_delta;
-                r
-            }};
-        }
-        macro_rules! trapcheck {
-            ($r:expr) => {
-                match $r {
-                    Ok(v) => v,
-                    Err(end) => {
-                        out = Some(end);
-                        break;
-                    }
-                }
-            };
-        }
-        // The decode loop checks fuel at the top of every iteration;
-        // between the halves of a fused pair this reproduces that
-        // check.
-        macro_rules! fuelcheck {
-            () => {
-                if eng.stats.cycles > eng.cfg.max_cycles {
-                    out = Some(VmResult::OutOfFuel);
-                    break;
-                }
-            };
-        }
-
-        loop {
-            if eng.stats.cycles > eng.cfg.max_cycles {
-                out = Some(VmResult::OutOfFuel);
-                break;
-            }
-            if eng.stats.cycles >= stop_at {
-                break; // quantum spent: preempted between records
-            }
-            if eng.block >= tp.blocks.len() || tpc >= tp.blocks[eng.block].code.len() {
-                let pc = bad_pc.unwrap_or_else(|| {
-                    if eng.block < tp.blocks.len() {
-                        tp.blocks[eng.block].tpc_to_pc[tpc] as usize
-                    } else {
-                        eng.pc
-                    }
-                });
-                out = Some(VmResult::Fault(format!(
-                    "instruction fetch out of range: block {} pc {}",
-                    eng.block, pc
-                )));
-                break;
-            }
-            let tb = &tp.blocks[eng.block];
-            match tb.code[tpc] {
-                TInstr::Move { d, s } => {
-                    acct!(InstrClass::Move, eng.m_move(d, s));
-                    tpc += 1;
-                }
-                TInstr::FMove { d, s } => {
-                    acct!(InstrClass::Move, eng.m_fmove(d, s));
-                    tpc += 1;
-                }
-                TInstr::LoadI { d, imm } => {
-                    acct!(InstrClass::Move, eng.m_loadi(d, imm));
-                    tpc += 1;
-                }
-                TInstr::LoadF { d, imm } => {
-                    acct!(InstrClass::Move, eng.m_loadf(d, imm));
-                    tpc += 1;
-                }
-                TInstr::LoadStr { d, pool } => {
-                    let r = acct!(InstrClass::Move, eng.m_loadstr(d, pool));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::LoadLabel { d, label } => {
-                    acct!(InstrClass::Move, eng.m_loadlabel(d, label));
-                    tpc += 1;
-                }
-                TInstr::Arith { op, d, a, b } => {
-                    let r = acct!(InstrClass::IntArith, eng.m_arith(op, d, a, b));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::FArith { op, d, a, b } => {
-                    acct!(InstrClass::FloatArith, eng.m_farith(op, d, a, b));
-                    tpc += 1;
-                }
-                TInstr::FUnary { op, d, a } => {
-                    acct!(InstrClass::FloatArith, eng.m_funary(op, d, a));
-                    tpc += 1;
-                }
-                TInstr::Floor { d, a } => {
-                    acct!(InstrClass::FloatArith, eng.m_floor(d, a));
-                    tpc += 1;
-                }
-                TInstr::IntToReal { d, a } => {
-                    acct!(InstrClass::FloatArith, eng.m_inttoreal(d, a));
-                    tpc += 1;
-                }
-                TInstr::Load { d, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_load(d, base, off));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::Store { s, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_store(s, base, off));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::StoreWB { s, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_storewb(s, base, off));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::FLoad { d, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_fload(d, base, off));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::FStore { s, base, off } => {
-                    let r = acct!(InstrClass::Memory, eng.m_fstore(s, base, off));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::LoadIdx { d, base, idx } => {
-                    let r = acct!(InstrClass::Memory, eng.m_loadidx(d, base, idx));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::StoreIdx { s, base, idx } => {
-                    let r = acct!(InstrClass::Memory, eng.m_storeidx(s, base, idx));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::StoreIdxWB { s, base, idx } => {
-                    let r = acct!(InstrClass::Memory, eng.m_storeidxwb(s, base, idx));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::ArrLen { d, a } => {
-                    let r = acct!(InstrClass::Memory, eng.m_arrlen(d, a));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::FBox { d, s } => {
-                    let r = acct!(InstrClass::Alloc, eng.m_fbox(d, s));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::FUnbox { d, s } => {
-                    let r = acct!(InstrClass::Memory, eng.m_funbox(d, s));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::Branch { op, a, b, t } => {
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::FBranch { op, a, b, t } => {
-                    let taken = acct!(InstrClass::Branch, eng.m_fbranch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::Jump { label } => {
-                    acct!(InstrClass::Jump, eng.m_jump());
-                    eng.block = label as usize;
-                    eng.pc = 0;
-                    bad_pc = None;
-                    tpc = 0;
-                }
-                TInstr::JumpReg { r } => {
-                    let r = acct!(InstrClass::Jump, eng.m_jumpreg(r));
-                    let target = trapcheck!(r);
-                    eng.block = target;
-                    eng.pc = 0;
-                    bad_pc = None;
-                    tpc = 0;
-                }
-                TInstr::GetHdlr { d } => {
-                    acct!(InstrClass::Control, eng.m_gethdlr(d));
-                    tpc += 1;
-                }
-                TInstr::SetHdlr { s } => {
-                    acct!(InstrClass::Control, eng.m_sethdlr(s));
-                    tpc += 1;
-                }
-                TInstr::Halt { s } => {
-                    let r: Result<(), VmResult> = acct!(InstrClass::Control, Err(eng.m_halt(s)));
-                    trapcheck!(r);
-                }
-                TInstr::Uncaught { s } => {
-                    let r: Result<(), VmResult> =
-                        acct!(InstrClass::Control, Err(eng.m_uncaught(s)));
-                    trapcheck!(r);
-                }
-                TInstr::LoadIArith {
-                    imm,
-                    di,
-                    op,
-                    d,
-                    a,
-                    b,
-                } => {
-                    acct!(InstrClass::Move, eng.m_loadi(di, imm));
-                    fuelcheck!();
-                    let r = acct!(InstrClass::IntArith, eng.m_arith(op, d, a, b));
-                    trapcheck!(r);
-                    tpc += 1;
-                }
-                TInstr::LoadIBranch {
-                    imm,
-                    di,
-                    op,
-                    a,
-                    b,
-                    t,
-                } => {
-                    acct!(InstrClass::Move, eng.m_loadi(di, imm));
-                    fuelcheck!();
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::LoadBranch {
-                    dl,
-                    base,
-                    off,
-                    op,
-                    a,
-                    b,
-                    t,
-                } => {
-                    let r = acct!(InstrClass::Memory, eng.m_load(dl, base, off));
-                    trapcheck!(r);
-                    fuelcheck!();
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::ArithBranch {
-                    aop,
-                    ad,
-                    aa,
-                    ab,
-                    op,
-                    a,
-                    b,
-                    t,
-                } => {
-                    let r = acct!(InstrClass::IntArith, eng.m_arith(aop, ad, aa, ab));
-                    trapcheck!(r);
-                    fuelcheck!();
-                    let taken = acct!(InstrClass::Branch, eng.m_branch(op, a, b));
-                    tpc = if taken { tpc + 1 } else { t as usize };
-                }
-                TInstr::MoveJump { d, s, label } => {
-                    acct!(InstrClass::Move, eng.m_move(d, s));
-                    fuelcheck!();
-                    acct!(InstrClass::Jump, eng.m_jump());
-                    eng.block = label as usize;
-                    eng.pc = 0;
-                    bad_pc = None;
-                    tpc = 0;
-                }
-                TInstr::Slow { pc } => {
-                    let pc = pc as usize;
-                    let instr = &eng.prog.blocks[eng.block].instrs[pc];
-                    eng.pc = pc + 1;
-                    let r = acct!(instr.class(), eng.step(instr));
-                    trapcheck!(r);
-                    // `step` may have redirected `eng.pc` (Switch,
-                    // string branches, an unmapped Branch); rejoin the
-                    // threaded stream at the record holding it.
-                    // Fall-through and every branch target land on a
-                    // record boundary, so the mapping is exact.
-                    let tb = &tp.blocks[eng.block];
-                    if eng.pc < tb.pc_map.len() {
-                        tpc = tb.pc_map[eng.pc] as usize;
-                        bad_pc = None;
-                    } else {
-                        tpc = tb.code.len();
-                        bad_pc = Some(eng.pc);
-                    }
-                }
-            }
-        }
-        // Translate the exit position back into original coordinates
-        // so resumption — under either engine — and fault reporting
-        // agree with the decode loop.
-        let pc = match bad_pc {
-            Some(p) => p,
-            None => {
-                if eng.block < tp.blocks.len() {
-                    tp.blocks[eng.block].tpc_to_pc[tpc] as usize
-                } else {
-                    eng.pc
-                }
-            }
-        };
-        (eng.block, pc)
+        let (out, pc) = slice(&mut eng, tp, &mut vm.runs, stop_at);
+        (out, eng.block, pc)
     };
+    vm.runs.fold(&tp.runs, &mut vm.stats, vm.cfg.fp3_overhead);
     vm.block = block;
     vm.pc = pc;
     vm.sync_heap_stats();
     vm.finished = out;
     vm.finished.is_some()
+}
+
+/// The slice loop proper: runs until a halt, a trap, fuel or the
+/// quantum ends it, and returns how it ended plus the original pc to
+/// resume at. A function of its own so that `eng` is a non-aliased
+/// argument and its fields stay in registers across the handlers'
+/// stores.
+#[inline(never)]
+fn slice(
+    eng: &mut Engine<'_, '_>,
+    tp: &ThreadedProgram,
+    counts: &mut RunCounts,
+    stop_at: u64,
+) -> (Option<VmResult>, usize) {
+    let fp3 = eng.cfg.fp3_overhead;
+    let mut out: Option<VmResult> = None;
+    let (mut tpc, mut off) = locate(tp, eng.block, eng.pc);
+    'slice: loop {
+        if eng.stats.cycles > eng.cfg.max_cycles {
+            out = Some(VmResult::OutOfFuel);
+            break;
+        }
+        if eng.stats.cycles >= stop_at {
+            break; // quantum spent: preempted between instructions
+        }
+        let Some(tb) = tp.blocks.get(eng.block).filter(|tb| tpc < tb.code.len()) else {
+            let pc = off.unwrap_or_else(|| {
+                tp.blocks
+                    .get(eng.block)
+                    .map_or(eng.pc, |tb| tb.tpc_to_pc[tpc] as usize)
+            });
+            // The second half of a pair, resumed on its own exactly
+            // as the decode loop would execute it.
+            let prog = eng.prog;
+            let half = off.and_then(|_| prog.blocks.get(eng.block)?.instrs.get(pc));
+            if let Some(instr) = half {
+                eng.pc = pc + 1;
+                if let Err(end) = acct!(eng, instr.class(), eng.step(instr)) {
+                    out = Some(end);
+                    break;
+                }
+                (tpc, off) = locate(tp, eng.block, eng.pc);
+                continue;
+            }
+            out = Some(VmResult::Fault(format!(
+                "instruction fetch out of range: block {} pc {}",
+                eng.block, pc
+            )));
+            break;
+        };
+
+        // The fast path: the whole run fits under fuel and quantum,
+        // so no check inside it could fire.
+        let run = tb.run_at[tpc];
+        if run != NO_RUN && !eng.heap.major_active() {
+            let cost = &tp.runs[run as usize];
+            let end = eng.stats.cycles.saturating_add(cost.total(fp3));
+            if end <= eng.cfg.max_cycles && end < stop_at {
+                eng.stats.cycles = end;
+                let start = tpc;
+                for _ in 0..cost.records {
+                    match exec::<false>(eng, tb, tpc, stop_at, &mut out) {
+                        Flow::At(t) => tpc = t,
+                        Flow::Enter => tpc = 0,
+                        Flow::End(done) => {
+                            // Keep what ran, refund the rest.
+                            let from = tb.tpc_to_pc[start] as usize;
+                            let to = tb.tpc_to_pc[tpc] as usize + done;
+                            let ran = RunCost::of(&eng.prog.blocks[eng.block].instrs[from..to])
+                                .unwrap_or_default();
+                            eng.stats.cycles -= cost.total(fp3) - ran.total(fp3);
+                            ran.attribute(eng.stats, 1, fp3);
+                            break 'slice;
+                        }
+                        Flow::Rejoin | Flow::Split => {
+                            unreachable!("runs hold no slow record and never split")
+                        }
+                    }
+                }
+                counts.bump(run);
+                continue;
+            }
+        }
+
+        match exec::<true>(eng, tb, tpc, stop_at, &mut out) {
+            Flow::At(t) => tpc = t,
+            Flow::Enter => tpc = 0,
+            Flow::Rejoin => (tpc, off) = locate(tp, eng.block, eng.pc),
+            Flow::End(_) => break,
+            Flow::Split => {
+                // Stop before the second half; a resume runs it.
+                off = Some(tb.tpc_to_pc[tpc] as usize + 1);
+                tpc = tb.code.len();
+                break;
+            }
+        }
+    }
+    // Translate the exit position back into original coordinates
+    // so resumption — under either engine — and fault reporting
+    // agree with the decode loop.
+    let pc = off.unwrap_or_else(|| {
+        tp.blocks
+            .get(eng.block)
+            .map_or(eng.pc, |tb| tb.tpc_to_pc[tpc] as usize)
+    });
+    (out, pc)
 }

@@ -60,71 +60,71 @@ fn is_terminator(i: &Instr) -> bool {
 }
 
 /// Collects the integer- and float-register operands of an instruction.
-fn operand_regs(i: &Instr, regs: &mut Vec<Reg>, fregs: &mut Vec<FReg>) {
+pub(crate) fn operand_regs(i: &Instr, regs: &mut impl Extend<Reg>, fregs: &mut impl Extend<FReg>) {
     match i {
         Instr::Move { d, s } => regs.extend([*d, *s]),
         Instr::FMove { d, s } => fregs.extend([*d, *s]),
-        Instr::LoadI { d, .. } => regs.push(*d),
-        Instr::LoadF { d, .. } => fregs.push(*d),
-        Instr::LoadStr { d, .. } | Instr::LoadLabel { d, .. } => regs.push(*d),
+        Instr::LoadI { d, .. } => regs.extend([*d]),
+        Instr::LoadF { d, .. } => fregs.extend([*d]),
+        Instr::LoadStr { d, .. } | Instr::LoadLabel { d, .. } => regs.extend([*d]),
         Instr::Arith { d, a, b, .. } => regs.extend([*d, *a, *b]),
         Instr::FArith { d, a, b, .. } => fregs.extend([*d, *a, *b]),
         Instr::FUnary { d, a, .. } => fregs.extend([*d, *a]),
         Instr::Floor { d, a } => {
-            regs.push(*d);
-            fregs.push(*a);
+            regs.extend([*d]);
+            fregs.extend([*a]);
         }
         Instr::IntToReal { d, a } => {
-            fregs.push(*d);
-            regs.push(*a);
+            fregs.extend([*d]);
+            regs.extend([*a]);
         }
         Instr::Load { d, base, .. } => regs.extend([*d, *base]),
         Instr::Store { s, base, .. } | Instr::StoreWB { s, base, .. } => regs.extend([*s, *base]),
         Instr::FLoad { d, base, .. } => {
-            fregs.push(*d);
-            regs.push(*base);
+            fregs.extend([*d]);
+            regs.extend([*base]);
         }
         Instr::FStore { s, base, .. } => {
-            fregs.push(*s);
-            regs.push(*base);
+            fregs.extend([*s]);
+            regs.extend([*base]);
         }
         Instr::LoadIdx { d, base, idx } => regs.extend([*d, *base, *idx]),
         Instr::StoreIdx { s, base, idx } | Instr::StoreIdxWB { s, base, idx } => {
             regs.extend([*s, *base, *idx])
         }
         Instr::Alloc { d, words, flts, .. } => {
-            regs.push(*d);
+            regs.extend([*d]);
             regs.extend(words.iter().copied());
             fregs.extend(flts.iter().copied());
         }
         Instr::AllocArr { d, len, init } => regs.extend([*d, *len, *init]),
         Instr::ArrLen { d, a } => regs.extend([*d, *a]),
         Instr::FBox { d, s } => {
-            regs.push(*d);
-            fregs.push(*s);
+            regs.extend([*d]);
+            fregs.extend([*s]);
         }
         Instr::FUnbox { d, s } => {
-            fregs.push(*d);
-            regs.push(*s);
+            fregs.extend([*d]);
+            regs.extend([*s]);
         }
         Instr::Branch { a, b, .. } => regs.extend([*a, *b]),
         Instr::FBranch { a, b, .. } => fregs.extend([*a, *b]),
         Instr::SBranch { a, b, .. } | Instr::PolyEqBranch { a, b, .. } => regs.extend([*a, *b]),
-        Instr::Switch { r, .. } => regs.push(*r),
+        Instr::Switch { r, .. } => regs.extend([*r]),
         Instr::Jump { .. } => {}
-        Instr::JumpReg { r } => regs.push(*r),
+        Instr::JumpReg { r } => regs.extend([*r]),
         Instr::Rt { op, d, a, b, fa } => {
             use crate::isa::RtOp;
-            regs.push(*d);
+            regs.extend([*d]);
             match op {
                 RtOp::StrCat | RtOp::StrSub => regs.extend([*a, *b]),
-                RtOp::StrSize | RtOp::IntToString => regs.push(*a),
-                RtOp::RealToString => fregs.push(*fa),
+                RtOp::StrSize | RtOp::IntToString => regs.extend([*a]),
+                RtOp::RealToString => fregs.extend([*fa]),
             }
         }
-        Instr::GetHdlr { d } => regs.push(*d),
+        Instr::GetHdlr { d } => regs.extend([*d]),
         Instr::SetHdlr { s } | Instr::Print { s } | Instr::Halt { s } | Instr::Uncaught { s } => {
-            regs.push(*s)
+            regs.extend([*s])
         }
     }
 }
@@ -329,20 +329,43 @@ pub struct ThreadedVerifySummary {
     pub tinstrs: u64,
     /// Superinstruction (fused-pair) records among them.
     pub superinstructions: u64,
+    /// Run-table entries checked against their records.
+    pub runs: u64,
 }
 
-/// Verifies the pre-decoded threaded stream the [`Dispatch::Threaded`]
-/// (see [`crate::vm::Dispatch`]) engine would execute for this program:
-/// the pc coordinate maps must be mutually consistent, every threaded
-/// branch target must stay inside the stream, every record must
-/// round-trip (expand back to exactly the original instructions,
-/// compared by disassembly), and the expanded operands must respect
-/// register bounds. Pre-decodes internally, so a program that passes
-/// here executes identically under both engines' *static* views.
+/// Verifies the pre-decoded threaded stream the
+/// [`Dispatch::Threaded`](crate::vm::Dispatch::Threaded) engine
+/// executes for this program —
+/// the copy cached in [`MachineProgram::predecoded`], built here if no
+/// instance has built it yet. The pc coordinate maps must be mutually
+/// consistent, every threaded branch target must stay inside the
+/// stream, every record must round-trip (expand back to exactly the
+/// original instructions, compared by disassembly), the expanded
+/// operands must respect register bounds, and every run-table entry
+/// must match the records it covers: its length, cycles, jumps and
+/// per-class deltas, with no dynamic record inside it and no record
+/// after a control transfer.
 pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, BytecodeViolation> {
-    use crate::threaded::{expand, predecode, TInstr};
-    let tp = predecode(prog);
+    check_threaded(prog, crate::threaded::threaded(prog))
+}
+
+/// [`verify_threaded`] against a given pre-decoded form.
+fn check_threaded(
+    prog: &MachineProgram,
+    tp: &crate::threaded::ThreadedProgram,
+) -> Result<ThreadedVerifySummary, BytecodeViolation> {
+    use crate::threaded::{expand, TInstr};
     let mut sum = ThreadedVerifySummary::default();
+    if tp.blocks.len() != prog.blocks.len() {
+        return Err(violation(
+            "threaded-pc-map",
+            format!(
+                "stream has {} blocks but the program has {}",
+                tp.blocks.len(),
+                prog.blocks.len()
+            ),
+        ));
+    }
     for (ix, (b, tb)) in prog.blocks.iter().zip(&tp.blocks).enumerate() {
         let n = b.instrs.len();
         if tb.pc_map.len() != n + 1
@@ -446,8 +469,85 @@ pub fn verify_threaded(prog: &MachineProgram) -> Result<ThreadedVerifySummary, B
             }
             sum.tinstrs += 1;
         }
+        sum.runs += check_runs(ix, b, tb, &tp.runs)?;
     }
     Ok(sum)
+}
+
+/// Checks one block's run-table entries against the records they
+/// cover; returns how many entries it checked.
+fn check_runs(
+    ix: usize,
+    b: &CodeBlock,
+    tb: &crate::threaded::ThreadedBlock,
+    runs: &[crate::threaded::RunCost],
+) -> Result<u64, BytecodeViolation> {
+    use crate::threaded::{is_dynamic, is_transfer, RunCost, NO_RUN};
+    let bad = |detail: String| Err(violation("threaded-run", format!("block L{ix}: {detail}")));
+    if tb.run_at.len() != tb.code.len() {
+        return bad(format!(
+            "run index sized {} for {} records",
+            tb.run_at.len(),
+            tb.code.len()
+        ));
+    }
+    let mut checked = 0;
+    for (rec, &r) in tb.run_at.iter().enumerate() {
+        if r == NO_RUN {
+            continue;
+        }
+        let Some(run) = runs.get(r as usize) else {
+            return bad(format!("record {rec} names run {r} of {}", runs.len()));
+        };
+        if run.records == 0 {
+            return bad(format!("the run at record {rec} is empty"));
+        }
+        let mut want = RunCost::default();
+        for k in rec..rec + run.records as usize {
+            let Some(t) = tb.code.get(k) else {
+                return bad(format!(
+                    "the run at record {rec} claims {} records, past the block's {}",
+                    run.records,
+                    tb.code.len()
+                ));
+            };
+            if is_dynamic(t) {
+                return bad(format!("the run at record {rec} holds dynamic record {k}"));
+            }
+            if k > rec && is_transfer(&tb.code[k - 1]) {
+                return bad(format!(
+                    "the run at record {rec} continues past the control transfer at record {}",
+                    k - 1
+                ));
+            }
+            let span = tb.tpc_to_pc[k] as usize..tb.tpc_to_pc[k + 1] as usize;
+            for ins in &b.instrs[span] {
+                if !want.add_instr(ins) {
+                    return bad(format!(
+                        "the run at record {rec} holds `{ins}`, which has no static cost"
+                    ));
+                }
+            }
+            want.records += 1;
+        }
+        if *run != want {
+            return bad(format!(
+                "the run at record {rec} is tabled as {} records, {} instrs, {} cycles, {} jumps \
+                 but its records give {} records, {} instrs, {} cycles, {} jumps \
+                 (or different per-class deltas)",
+                run.records,
+                run.instrs,
+                run.cycles,
+                run.jumps,
+                want.records,
+                want.instrs,
+                want.cycles,
+                want.jumps
+            ));
+        }
+        checked += 1;
+    }
+    Ok(checked)
 }
 
 #[cfg(test)]
@@ -462,6 +562,7 @@ mod tests {
             }],
             entry: 0,
             pool: Vec::new(),
+            predecoded: Default::default(),
         }
     }
 
@@ -526,6 +627,57 @@ mod tests {
             Instr::Halt { s: 2 },
         ]);
         assert_eq!(verify_bytecode(&p).unwrap_err().rule, "alloc-descriptor");
+    }
+
+    #[test]
+    fn threaded_run_tables_reject_corruption() {
+        use crate::isa::{AOp, BrOp};
+        use crate::threaded::predecode;
+        let p = one_block(vec![
+            Instr::LoadI { d: 1, imm: 3 },
+            Instr::Move { d: 40, s: 1 }, // spilled: 2 extra cycles
+            Instr::Arith {
+                op: AOp::Mul,
+                d: 2,
+                a: 1,
+                b: 40,
+            },
+            Instr::Branch {
+                op: BrOp::Lt,
+                a: 1,
+                b: 2,
+                target: 5,
+            },
+            Instr::Move { d: 3, s: 2 },
+            Instr::Halt { s: 2 },
+        ]);
+        let tp = predecode(&p);
+        let sum = check_threaded(&p, &tp).expect("fresh tables verify");
+        assert_eq!(sum.runs, 2, "block start and the record after the branch");
+        let r = tp.blocks[0].run_at[0] as usize;
+        assert_eq!(tp.runs[r].cycles, 1 + 3 + 6 + 1);
+
+        let mut cost = predecode(&p);
+        cost.runs[r].cycles += 1;
+        assert_eq!(check_threaded(&p, &cost).unwrap_err().rule, "threaded-run");
+
+        let mut short = predecode(&p);
+        short.runs[r].records -= 1;
+        assert_eq!(check_threaded(&p, &short).unwrap_err().rule, "threaded-run");
+
+        // One record more runs past the branch.
+        let mut long = predecode(&p);
+        long.runs[r].records += 1;
+        let v = check_threaded(&p, &long).unwrap_err();
+        assert_eq!(v.rule, "threaded-run");
+        assert!(v.detail.contains("control transfer"), "{}", v.detail);
+
+        // The run after the branch may not swallow the Halt.
+        let tail = tp.blocks[0].run_at[tp.blocks[0].code.len() - 2] as usize;
+        let mut dynamic = predecode(&p);
+        dynamic.runs[tail].records += 1;
+        let v = check_threaded(&p, &dynamic).unwrap_err();
+        assert!(v.detail.contains("dynamic record"), "{}", v.detail);
     }
 
     #[test]

@@ -25,16 +25,21 @@
 //! Two dispatch engines share these semantics, selected by
 //! [`VmConfig::dispatch`]:
 //!
+//! * [`Dispatch::Threaded`] (the default) — the [`Instr`] stream is
+//!   pre-decoded once per program into a flat threaded stream of compact
+//!   handler records, with a peephole selector fusing hot pairs
+//!   (`LoadI`+`Arith`, load/compare+branch, `Move`+`Jump`) into
+//!   superinstructions, and static costs are charged once per
+//!   straight-line run instead of once per instruction (see
+//!   `threaded.rs`).
 //! * [`Dispatch::Decode`] — the classic fetch/decode `match` loop over
-//!   [`Instr`].
-//! * [`Dispatch::Threaded`] — the [`Instr`] stream is pre-decoded into a
-//!   flat threaded stream of compact handler records, with a peephole
-//!   selector fusing hot pairs (`LoadI`+`Arith`, load/compare+branch,
-//!   `Move`+`Jump`) into superinstructions (see `threaded.rs`).
+//!   [`Instr`], charging every instruction as it goes: the
+//!   per-instruction reference the threaded engine is proven against.
 //!
 //! Both engines call the same `#[inline(always)]` per-instruction
-//! handlers on [`Engine`], so results, output, and every [`RunStats`]
-//! counter are identical between them; only wall-clock time differs.
+//! handlers on [`Engine`], so results, output, every [`RunStats`]
+//! counter, and every `OutOfFuel` and preemption point are identical
+//! between them; only wall-clock time differs.
 //!
 //! # Fault containment
 //!
@@ -52,16 +57,19 @@ use crate::heap::{
     decode, is_ptr, tag_int, untag_int, GcKind, GcMode, Heap, HeapConfig, ObjKind, SliceOutcome,
 };
 use crate::isa::*;
-use crate::threaded::ThreadedProgram;
+use crate::threaded::{threaded, RunCounts};
 use sml_cps::{floor_div, floor_mod};
 
 /// Which execution engine runs the program (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Dispatch {
-    /// The classic decode-dispatch interpreter loop.
-    #[default]
+    /// The classic decode-dispatch interpreter loop: the per-instruction
+    /// reference engine, kept as the differential oracle for the
+    /// threaded engine's run-granular accounting.
     Decode,
-    /// Pre-decoded threaded dispatch with peephole superinstructions.
+    /// Pre-decoded threaded dispatch with peephole superinstructions
+    /// and run-granular accounting (the default).
+    #[default]
     Threaded,
 }
 
@@ -137,9 +145,9 @@ pub struct VmConfig {
     /// which is *reported* in [`RunStats::pause_overruns`] rather than
     /// silently violated.
     pub max_pause_cycles: u64,
-    /// Execution engine (see [`Dispatch`]); decode-dispatch by default.
-    /// Engine choice never changes results or [`RunStats`] counters —
-    /// only wall-clock speed.
+    /// Execution engine (see [`Dispatch`]); threaded by default. Engine
+    /// choice never changes results, [`RunStats`] counters or
+    /// preemption points — only wall-clock speed.
     pub dispatch: Dispatch,
     /// Fault-injection knobs for robustness testing.
     pub fault: FaultInject,
@@ -155,7 +163,7 @@ impl Default for VmConfig {
             tenured_words: 8 << 20,
             promote_after: 2,
             max_pause_cycles: 0,
-            dispatch: Dispatch::Decode,
+            dispatch: Dispatch::Threaded,
             fault: FaultInject::default(),
         }
     }
@@ -375,9 +383,10 @@ pub struct VmInstance<'p> {
     /// Incremental-major slices run since the last fault-injected
     /// yield (drives [`FaultInject::yield_every_n_slices`]).
     pub(crate) yield_ctr: u64,
-    /// The pre-decoded threaded stream; built once at instance creation
-    /// when [`VmConfig::dispatch`] is [`Dispatch::Threaded`].
-    pub(crate) threaded: Option<ThreadedProgram>,
+    /// Fast-path counters for the program's runs, folded into `stats`
+    /// at every slice exit (empty under [`Dispatch::Decode`]). The
+    /// pre-decoded stream itself is shared, cached with the program.
+    pub(crate) runs: RunCounts,
     pub(crate) finished: Option<VmResult>,
 }
 
@@ -385,7 +394,8 @@ impl<'p> VmInstance<'p> {
     /// Prepares a run: builds the heap (sizing the immortal region to
     /// the literal pool so pool loading can never exhaust it), loads
     /// the literals, and — under [`Dispatch::Threaded`] — pre-decodes
-    /// the instruction stream. A literal the descriptor cannot encode
+    /// the instruction stream unless an earlier instance of the same
+    /// program already did. A literal the descriptor cannot encode
     /// marks the instance finished with a `Fault` before the first
     /// step.
     pub fn new(prog: &'p MachineProgram, cfg: &VmConfig) -> VmInstance<'p> {
@@ -393,11 +403,11 @@ impl<'p> VmInstance<'p> {
     }
 
     /// Like [`VmInstance::new`] but holding a shared, owned program
-    /// handle: N tenants of one program pay one compilation (and one
-    /// threaded pre-decode *each* — the stream is per-instance, the
-    /// code is not). The `'static` lifetime frees the instance from
-    /// the caller's stack, which is what lets the scheduler own its
-    /// tenants.
+    /// handle: N tenants of one program pay one compilation and one
+    /// threaded pre-decode, cached with the program; each instance
+    /// keeps only its own heap, registers and run counters. The
+    /// `'static` lifetime frees the instance from the caller's stack,
+    /// which is what lets the scheduler own its tenants.
     pub fn shared(prog: std::sync::Arc<MachineProgram>, cfg: &VmConfig) -> VmInstance<'static> {
         VmInstance::with_prog(ProgRef::Shared(prog), cfg)
     }
@@ -434,9 +444,9 @@ impl<'p> VmInstance<'p> {
                 pool_ptrs.push(heap.alloc_static_string(s));
             }
         }
-        let threaded = match cfg.dispatch {
-            Dispatch::Decode => None,
-            Dispatch::Threaded => Some(crate::threaded::predecode(&prog)),
+        let runs = match cfg.dispatch {
+            Dispatch::Decode => RunCounts::default(),
+            Dispatch::Threaded => RunCounts::new(threaded(&prog).runs.len()),
         };
         let entry = prog.entry as usize;
         VmInstance {
@@ -452,7 +462,7 @@ impl<'p> VmInstance<'p> {
             block: entry,
             pc: 0,
             yield_ctr: 0,
-            threaded,
+            runs,
             finished,
         }
     }
@@ -486,13 +496,16 @@ impl<'p> VmInstance<'p> {
     /// Which engine this instance runs on, and what its pre-decoder
     /// did (all zeros under [`Dispatch::Decode`]).
     pub fn dispatch_stats(&self) -> DispatchStats {
-        match &self.threaded {
-            Some(tp) => DispatchStats {
-                engine: Dispatch::Threaded,
-                superinstructions: tp.fused,
-                stream_len: tp.stream_len,
-            },
-            None => DispatchStats {
+        match self.cfg.dispatch {
+            Dispatch::Threaded => {
+                let tp = threaded(&self.prog);
+                DispatchStats {
+                    engine: Dispatch::Threaded,
+                    superinstructions: tp.fused,
+                    stream_len: tp.stream_len,
+                }
+            }
+            Dispatch::Decode => DispatchStats {
                 engine: Dispatch::Decode,
                 superinstructions: 0,
                 stream_len: 0,
@@ -517,11 +530,11 @@ impl<'p> VmInstance<'p> {
 
     /// Executes until roughly `quantum` more cycles have been charged
     /// (preemption is checked between instructions, so a slice overruns
-    /// by at most one instruction's cost — two for a threaded
-    /// superinstruction pair, which never splits across slices —
-    /// including its GC pause, which a pause budget keeps bounded) or
-    /// the run ends. Returns `true` when the run is finished, `false`
-    /// when preempted.
+    /// by at most one instruction's cost, including its GC pause, which
+    /// a pause budget keeps bounded) or the run ends. Both engines stop
+    /// at the same instruction: the threaded engine charges a run in
+    /// one step only when it ends before the quantum does. Returns
+    /// `true` when the run is finished, `false` when preempted.
     pub fn run_slice(&mut self, quantum: u64) -> bool {
         match self.cfg.dispatch {
             Dispatch::Decode => self.run_slice_decode(quantum),
@@ -649,6 +662,21 @@ impl<'p> Engine<'_, 'p> {
         }
     }
 
+    /// Charges a static handler's cost: `cycles` plus the spill cost of
+    /// `rs`. The threaded engine instantiates handlers with `C = false`
+    /// inside a straight-line run whose whole cost it charged up front.
+    #[inline(always)]
+    fn charge<const C: bool>(&mut self, cycles: u64, rs: &[u8]) {
+        if C {
+            for &r in rs {
+                if r >= HW_REGS {
+                    self.stats.cycles += 2;
+                }
+            }
+            self.stats.cycles += cycles;
+        }
+    }
+
     /// Bounds-checks one object access; `Err` is a Fault trap.
     #[inline(always)]
     fn mem(&mut self, ptr: u32, off: usize, n: usize) -> Result<(), VmResult> {
@@ -755,39 +783,38 @@ impl<'p> Engine<'_, 'p> {
     // place. Vector-operand and runtime-call instructions execute
     // through `step`'s match arms (the threaded engine routes them via
     // its `Slow` record).
+    //
+    // Every handler generic over `C` has a static cost (`static_cycles`)
+    // and charges all of it before it can fail, so a trap inside a
+    // pre-charged run knows exactly which cycles were spent.
 
     #[inline(always)]
-    pub(crate) fn m_move(&mut self, d: Reg, s: Reg) {
-        self.spill([d, s]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_move<const C: bool>(&mut self, d: Reg, s: Reg) {
+        self.charge::<C>(1, &[d, s]);
         self.regs[d as usize] = self.regs[s as usize];
     }
 
     #[inline(always)]
-    pub(crate) fn m_fmove(&mut self, d: FReg, s: FReg) {
-        self.spill([d, s]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_fmove<const C: bool>(&mut self, d: FReg, s: FReg) {
+        self.charge::<C>(1, &[d, s]);
         self.fregs[d as usize] = self.fregs[s as usize];
     }
 
     #[inline(always)]
-    pub(crate) fn m_loadi(&mut self, d: Reg, imm: i64) {
-        self.spill([d]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_loadi<const C: bool>(&mut self, d: Reg, imm: i64) {
+        self.charge::<C>(1, &[d]);
         self.regs[d as usize] = tag_int(imm);
     }
 
     #[inline(always)]
-    pub(crate) fn m_loadf(&mut self, d: FReg, imm: f64) {
-        self.spill([d]);
-        self.stats.cycles += 2;
+    pub(crate) fn m_loadf<const C: bool>(&mut self, d: FReg, imm: f64) {
+        self.charge::<C>(2, &[d]);
         self.fregs[d as usize] = imm;
     }
 
     #[inline(always)]
-    pub(crate) fn m_loadstr(&mut self, d: Reg, pool: u32) -> Result<(), VmResult> {
-        self.spill([d]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_loadstr<const C: bool>(&mut self, d: Reg, pool: u32) -> Result<(), VmResult> {
+        self.charge::<C>(1, &[d]);
         if pool as usize >= self.pool_ptrs.len() {
             return Err(VmResult::Fault(format!(
                 "string pool index {pool} out of range"
@@ -798,93 +825,88 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_loadlabel(&mut self, d: Reg, label: u32) {
-        self.spill([d]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_loadlabel<const C: bool>(&mut self, d: Reg, label: u32) {
+        self.charge::<C>(1, &[d]);
         self.regs[d as usize] = tag_int(label as i64);
     }
 
     #[inline(always)]
-    pub(crate) fn m_arith(&mut self, op: AOp, d: Reg, a: Reg, b: Reg) -> Result<(), VmResult> {
-        self.spill([d, a, b]);
+    pub(crate) fn m_arith<const C: bool>(
+        &mut self,
+        op: AOp,
+        d: Reg,
+        a: Reg,
+        b: Reg,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(aop_cycles(op), &[d, a, b]);
         let x = untag_int(self.regs[a as usize]);
         let y = untag_int(self.regs[b as usize]);
-        let (v, cost) = match op {
-            AOp::Add => (x.wrapping_add(y), 1),
-            AOp::Sub => (x.wrapping_sub(y), 1),
-            AOp::Mul => (x.wrapping_mul(y), 4),
+        let v = match op {
+            AOp::Add => x.wrapping_add(y),
+            AOp::Sub => x.wrapping_sub(y),
+            AOp::Mul => x.wrapping_mul(y),
             // SML floor division/modulus, wrapping at `i64::MIN div ~1`.
             // A zero divisor is an arithmetic trap (charged like the
             // divide it attempted); compiled code guards `div`/`mod`
             // with a zero test that raises `Div` before reaching here.
-            AOp::Div | AOp::Mod => {
-                if y == 0 {
-                    self.stats.cycles += 12;
-                    return Err(VmResult::Fault("integer division by zero".into()));
-                }
-                let v = if op == AOp::Div {
-                    floor_div(x, y)
-                } else {
-                    floor_mod(x, y)
-                };
-                (v, 12)
+            AOp::Div | AOp::Mod if y == 0 => {
+                return Err(VmResult::Fault("integer division by zero".into()));
             }
+            AOp::Div => floor_div(x, y),
+            AOp::Mod => floor_mod(x, y),
         };
-        self.stats.cycles += cost;
         self.regs[d as usize] = tag_int(v);
         Ok(())
     }
 
     #[inline(always)]
-    pub(crate) fn m_farith(&mut self, op: FOp, d: FReg, a: FReg, b: FReg) {
-        self.spill([d, a, b]);
+    pub(crate) fn m_farith<const C: bool>(&mut self, op: FOp, d: FReg, a: FReg, b: FReg) {
+        self.charge::<C>(fop_cycles(op), &[d, a, b]);
         let x = self.fregs[a as usize];
         let y = self.fregs[b as usize];
-        let (v, cost) = match op {
-            FOp::Add => (x + y, 2),
-            FOp::Sub => (x - y, 2),
-            FOp::Mul => (x * y, 4),
-            FOp::Div => (x / y, 12),
+        self.fregs[d as usize] = match op {
+            FOp::Add => x + y,
+            FOp::Sub => x - y,
+            FOp::Mul => x * y,
+            FOp::Div => x / y,
         };
-        self.stats.cycles += cost;
-        self.fregs[d as usize] = v;
     }
 
     #[inline(always)]
-    pub(crate) fn m_funary(&mut self, op: FUOp, d: FReg, a: FReg) {
-        self.spill([d, a]);
+    pub(crate) fn m_funary<const C: bool>(&mut self, op: FUOp, d: FReg, a: FReg) {
+        self.charge::<C>(fuop_cycles(op), &[d, a]);
         let x = self.fregs[a as usize];
-        let (v, cost) = match op {
-            FUOp::Neg => (-x, 2),
-            FUOp::Sqrt => (x.sqrt(), 20),
-            FUOp::Sin => (x.sin(), 20),
-            FUOp::Cos => (x.cos(), 20),
-            FUOp::Atan => (x.atan(), 20),
-            FUOp::Exp => (x.exp(), 20),
-            FUOp::Ln => (x.ln(), 20),
+        self.fregs[d as usize] = match op {
+            FUOp::Neg => -x,
+            FUOp::Sqrt => x.sqrt(),
+            FUOp::Sin => x.sin(),
+            FUOp::Cos => x.cos(),
+            FUOp::Atan => x.atan(),
+            FUOp::Exp => x.exp(),
+            FUOp::Ln => x.ln(),
         };
-        self.stats.cycles += cost;
-        self.fregs[d as usize] = v;
     }
 
     #[inline(always)]
-    pub(crate) fn m_floor(&mut self, d: Reg, a: FReg) {
-        self.spill([d, a]);
-        self.stats.cycles += 3;
+    pub(crate) fn m_floor<const C: bool>(&mut self, d: Reg, a: FReg) {
+        self.charge::<C>(3, &[d, a]);
         self.regs[d as usize] = tag_int(self.fregs[a as usize].floor() as i64);
     }
 
     #[inline(always)]
-    pub(crate) fn m_inttoreal(&mut self, d: FReg, a: Reg) {
-        self.spill([d, a]);
-        self.stats.cycles += 3;
+    pub(crate) fn m_inttoreal<const C: bool>(&mut self, d: FReg, a: Reg) {
+        self.charge::<C>(3, &[d, a]);
         self.fregs[d as usize] = untag_int(self.regs[a as usize]) as f64;
     }
 
     #[inline(always)]
-    pub(crate) fn m_load(&mut self, d: Reg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([d, base]);
-        self.stats.cycles += 2;
+    pub(crate) fn m_load<const C: bool>(
+        &mut self,
+        d: Reg,
+        base: Reg,
+        off: u16,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(2, &[d, base]);
         self.mem(self.regs[base as usize], off as usize, 1)?;
         // Through the read barrier: during an active incremental major
         // a from-space target is evacuated and the slot healed, so
@@ -896,9 +918,13 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_store(&mut self, s: Reg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([s, base]);
-        self.stats.cycles += 2;
+    pub(crate) fn m_store<const C: bool>(
+        &mut self,
+        s: Reg,
+        base: Reg,
+        off: u16,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(2, &[s, base]);
         self.mem(self.regs[base as usize], off as usize, 1)?;
         // Unboxed stores skip the barrier; the compiler must prove the
         // value is a non-pointer (paper §4.4).
@@ -917,9 +943,13 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_storewb(&mut self, s: Reg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([s, base]);
-        self.stats.cycles += 4; // store + generational bookkeeping
+    pub(crate) fn m_storewb<const C: bool>(
+        &mut self,
+        s: Reg,
+        base: Reg,
+        off: u16,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(4, &[s, base]); // store + generational bookkeeping
         self.mem(self.regs[base as usize], off as usize, 1)?;
         self.heap.store_barriered(
             self.regs[base as usize],
@@ -930,18 +960,26 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_fload(&mut self, d: FReg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([d, base]);
-        self.stats.cycles += 4; // two single-word loads
+    pub(crate) fn m_fload<const C: bool>(
+        &mut self,
+        d: FReg,
+        base: Reg,
+        off: u16,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(4, &[d, base]); // two single-word loads
         self.mem(self.regs[base as usize], off as usize, 2)?;
         self.fregs[d as usize] = self.heap.load_f64(self.regs[base as usize], off as usize);
         Ok(())
     }
 
     #[inline(always)]
-    pub(crate) fn m_fstore(&mut self, s: FReg, base: Reg, off: u16) -> Result<(), VmResult> {
-        self.spill([s, base]);
-        self.stats.cycles += 4;
+    pub(crate) fn m_fstore<const C: bool>(
+        &mut self,
+        s: FReg,
+        base: Reg,
+        off: u16,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(4, &[s, base]);
         self.mem(self.regs[base as usize], off as usize, 2)?;
         self.heap.store_f64(
             self.regs[base as usize],
@@ -952,9 +990,13 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_loadidx(&mut self, d: Reg, base: Reg, idx: Reg) -> Result<(), VmResult> {
-        self.spill([d, base, idx]);
-        self.stats.cycles += 3;
+    pub(crate) fn m_loadidx<const C: bool>(
+        &mut self,
+        d: Reg,
+        base: Reg,
+        idx: Reg,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(3, &[d, base, idx]);
         let i = untag_int(self.regs[idx as usize]);
         if i < 0 {
             return Err(VmResult::Fault(format!("negative index {i}")));
@@ -965,9 +1007,13 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_storeidx(&mut self, s: Reg, base: Reg, idx: Reg) -> Result<(), VmResult> {
-        self.spill([s, base, idx]);
-        self.stats.cycles += 3;
+    pub(crate) fn m_storeidx<const C: bool>(
+        &mut self,
+        s: Reg,
+        base: Reg,
+        idx: Reg,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(3, &[s, base, idx]);
         let i = untag_int(self.regs[idx as usize]);
         if i < 0 {
             return Err(VmResult::Fault(format!("negative index {i}")));
@@ -985,9 +1031,13 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_storeidxwb(&mut self, s: Reg, base: Reg, idx: Reg) -> Result<(), VmResult> {
-        self.spill([s, base, idx]);
-        self.stats.cycles += 5;
+    pub(crate) fn m_storeidxwb<const C: bool>(
+        &mut self,
+        s: Reg,
+        base: Reg,
+        idx: Reg,
+    ) -> Result<(), VmResult> {
+        self.charge::<C>(5, &[s, base, idx]);
         let i = untag_int(self.regs[idx as usize]);
         if i < 0 {
             return Err(VmResult::Fault(format!("negative index {i}")));
@@ -999,9 +1049,8 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_arrlen(&mut self, d: Reg, a: Reg) -> Result<(), VmResult> {
-        self.spill([d, a]);
-        self.stats.cycles += 2;
+    pub(crate) fn m_arrlen<const C: bool>(&mut self, d: Reg, a: Reg) -> Result<(), VmResult> {
+        self.charge::<C>(2, &[d, a]);
         self.mem(self.regs[a as usize], 0, 0)?;
         let (_, nscan, _) = decode(self.heap.desc(self.regs[a as usize]));
         self.regs[d as usize] = tag_int(nscan as i64);
@@ -1022,9 +1071,8 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_funbox(&mut self, d: FReg, s: Reg) -> Result<(), VmResult> {
-        self.spill([d, s]);
-        self.stats.cycles += 4;
+    pub(crate) fn m_funbox<const C: bool>(&mut self, d: FReg, s: Reg) -> Result<(), VmResult> {
+        self.charge::<C>(4, &[d, s]);
         self.mem(self.regs[s as usize], 0, 2)?;
         self.fregs[d as usize] = self.heap.load_f64(self.regs[s as usize], 0);
         Ok(())
@@ -1033,9 +1081,8 @@ impl<'p> Engine<'_, 'p> {
     /// Evaluates an integer branch comparison; the *caller* redirects
     /// control when the comparison is false (branch-on-false ISA).
     #[inline(always)]
-    pub(crate) fn m_branch(&mut self, op: BrOp, a: Reg, b: Reg) -> bool {
-        self.spill([a, b]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_branch<const C: bool>(&mut self, op: BrOp, a: Reg, b: Reg) -> bool {
+        self.charge::<C>(1, &[a, b]);
         let x = self.regs[a as usize];
         let y = self.regs[b as usize];
         match op {
@@ -1051,9 +1098,8 @@ impl<'p> Engine<'_, 'p> {
 
     /// Evaluates a float branch comparison (branch-on-false).
     #[inline(always)]
-    pub(crate) fn m_fbranch(&mut self, op: FBrOp, a: FReg, b: FReg) -> bool {
-        self.spill([a, b]);
-        self.stats.cycles += 2;
+    pub(crate) fn m_fbranch<const C: bool>(&mut self, op: FBrOp, a: FReg, b: FReg) -> bool {
+        self.charge::<C>(2, &[a, b]);
         let x = self.fregs[a as usize];
         let y = self.fregs[b as usize];
         match op {
@@ -1068,21 +1114,14 @@ impl<'p> Engine<'_, 'p> {
 
     /// Charges a direct jump; the caller performs the block transfer.
     #[inline(always)]
-    pub(crate) fn m_jump(&mut self) {
-        self.stats.cycles += 1;
-        if self.cfg.fp3_overhead {
-            self.stats.cycles += 1;
-        }
+    pub(crate) fn m_jump<const C: bool>(&mut self) {
+        self.charge::<C>(1 + self.cfg.fp3_overhead as u64, &[]);
     }
 
     /// Validates an indirect jump and returns the target block.
     #[inline(always)]
-    pub(crate) fn m_jumpreg(&mut self, r: Reg) -> Result<usize, VmResult> {
-        self.spill([r]);
-        self.stats.cycles += 2;
-        if self.cfg.fp3_overhead {
-            self.stats.cycles += 1;
-        }
+    pub(crate) fn m_jumpreg<const C: bool>(&mut self, r: Reg) -> Result<usize, VmResult> {
+        self.charge::<C>(2 + self.cfg.fp3_overhead as u64, &[r]);
         let w = self.regs[r as usize];
         if is_ptr(w) {
             return Err(VmResult::Fault(format!(
@@ -1101,16 +1140,14 @@ impl<'p> Engine<'_, 'p> {
     }
 
     #[inline(always)]
-    pub(crate) fn m_gethdlr(&mut self, d: Reg) {
-        self.spill([d]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_gethdlr<const C: bool>(&mut self, d: Reg) {
+        self.charge::<C>(1, &[d]);
         self.regs[d as usize] = *self.handler;
     }
 
     #[inline(always)]
-    pub(crate) fn m_sethdlr(&mut self, s: Reg) {
-        self.spill([s]);
-        self.stats.cycles += 1;
+    pub(crate) fn m_sethdlr<const C: bool>(&mut self, s: Reg) {
+        self.charge::<C>(1, &[s]);
         *self.handler = self.regs[s as usize];
     }
 
@@ -1137,35 +1174,35 @@ impl<'p> Engine<'_, 'p> {
     /// way.
     pub(crate) fn step(&mut self, instr: &Instr) -> Result<(), VmResult> {
         match instr {
-            Instr::Move { d, s } => self.m_move(*d, *s),
-            Instr::FMove { d, s } => self.m_fmove(*d, *s),
-            Instr::LoadI { d, imm } => self.m_loadi(*d, *imm),
-            Instr::LoadF { d, imm } => self.m_loadf(*d, *imm),
-            Instr::LoadStr { d, pool } => self.m_loadstr(*d, *pool)?,
-            Instr::LoadLabel { d, label } => self.m_loadlabel(*d, *label),
-            Instr::Arith { op, d, a, b } => self.m_arith(*op, *d, *a, *b)?,
-            Instr::FArith { op, d, a, b } => self.m_farith(*op, *d, *a, *b),
-            Instr::FUnary { op, d, a } => self.m_funary(*op, *d, *a),
-            Instr::Floor { d, a } => self.m_floor(*d, *a),
-            Instr::IntToReal { d, a } => self.m_inttoreal(*d, *a),
-            Instr::Load { d, base, off } => self.m_load(*d, *base, *off)?,
-            Instr::Store { s, base, off } => self.m_store(*s, *base, *off)?,
-            Instr::StoreWB { s, base, off } => self.m_storewb(*s, *base, *off)?,
-            Instr::FLoad { d, base, off } => self.m_fload(*d, *base, *off)?,
-            Instr::FStore { s, base, off } => self.m_fstore(*s, *base, *off)?,
-            Instr::LoadIdx { d, base, idx } => self.m_loadidx(*d, *base, *idx)?,
-            Instr::StoreIdx { s, base, idx } => self.m_storeidx(*s, *base, *idx)?,
-            Instr::StoreIdxWB { s, base, idx } => self.m_storeidxwb(*s, *base, *idx)?,
-            Instr::ArrLen { d, a } => self.m_arrlen(*d, *a)?,
+            Instr::Move { d, s } => self.m_move::<true>(*d, *s),
+            Instr::FMove { d, s } => self.m_fmove::<true>(*d, *s),
+            Instr::LoadI { d, imm } => self.m_loadi::<true>(*d, *imm),
+            Instr::LoadF { d, imm } => self.m_loadf::<true>(*d, *imm),
+            Instr::LoadStr { d, pool } => self.m_loadstr::<true>(*d, *pool)?,
+            Instr::LoadLabel { d, label } => self.m_loadlabel::<true>(*d, *label),
+            Instr::Arith { op, d, a, b } => self.m_arith::<true>(*op, *d, *a, *b)?,
+            Instr::FArith { op, d, a, b } => self.m_farith::<true>(*op, *d, *a, *b),
+            Instr::FUnary { op, d, a } => self.m_funary::<true>(*op, *d, *a),
+            Instr::Floor { d, a } => self.m_floor::<true>(*d, *a),
+            Instr::IntToReal { d, a } => self.m_inttoreal::<true>(*d, *a),
+            Instr::Load { d, base, off } => self.m_load::<true>(*d, *base, *off)?,
+            Instr::Store { s, base, off } => self.m_store::<true>(*s, *base, *off)?,
+            Instr::StoreWB { s, base, off } => self.m_storewb::<true>(*s, *base, *off)?,
+            Instr::FLoad { d, base, off } => self.m_fload::<true>(*d, *base, *off)?,
+            Instr::FStore { s, base, off } => self.m_fstore::<true>(*s, *base, *off)?,
+            Instr::LoadIdx { d, base, idx } => self.m_loadidx::<true>(*d, *base, *idx)?,
+            Instr::StoreIdx { s, base, idx } => self.m_storeidx::<true>(*s, *base, *idx)?,
+            Instr::StoreIdxWB { s, base, idx } => self.m_storeidxwb::<true>(*s, *base, *idx)?,
+            Instr::ArrLen { d, a } => self.m_arrlen::<true>(*d, *a)?,
             Instr::FBox { d, s } => self.m_fbox(*d, *s)?,
-            Instr::FUnbox { d, s } => self.m_funbox(*d, *s)?,
+            Instr::FUnbox { d, s } => self.m_funbox::<true>(*d, *s)?,
             Instr::Branch { op, a, b, target } => {
-                if !self.m_branch(*op, *a, *b) {
+                if !self.m_branch::<true>(*op, *a, *b) {
                     self.pc = *target as usize;
                 }
             }
             Instr::FBranch { op, a, b, target } => {
-                if !self.m_fbranch(*op, *a, *b) {
+                if !self.m_fbranch::<true>(*op, *a, *b) {
                     self.pc = *target as usize;
                 }
             }
@@ -1222,12 +1259,12 @@ impl<'p> Engine<'_, 'p> {
                 };
             }
             Instr::Jump { label } => {
-                self.m_jump();
+                self.m_jump::<true>();
                 self.block = *label as usize;
                 self.pc = 0;
             }
             Instr::JumpReg { r } => {
-                self.block = self.m_jumpreg(*r)?;
+                self.block = self.m_jumpreg::<true>(*r)?;
                 self.pc = 0;
             }
             Instr::Rt { op, d, a, b, fa } => {
@@ -1345,8 +1382,8 @@ impl<'p> Engine<'_, 'p> {
                 self.stats.cycles += 1 + n as u64;
                 self.regs[*d as usize] = p;
             }
-            Instr::GetHdlr { d } => self.m_gethdlr(*d),
-            Instr::SetHdlr { s } => self.m_sethdlr(*s),
+            Instr::GetHdlr { d } => self.m_gethdlr::<true>(*d),
+            Instr::SetHdlr { s } => self.m_sethdlr::<true>(*s),
             Instr::Print { s } => {
                 self.strchk(self.regs[*s as usize])?;
                 let txt = self.heap.read_string(self.regs[*s as usize]);
@@ -1358,6 +1395,73 @@ impl<'p> Engine<'_, 'p> {
         }
         Ok(())
     }
+}
+
+/// Cycles of an integer ALU operation (a zero divisor pays the divide
+/// it attempted).
+pub(crate) fn aop_cycles(op: AOp) -> u64 {
+    match op {
+        AOp::Add | AOp::Sub => 1,
+        AOp::Mul => 4,
+        AOp::Div | AOp::Mod => 12,
+    }
+}
+
+/// Cycles of a float ALU operation.
+pub(crate) fn fop_cycles(op: FOp) -> u64 {
+    match op {
+        FOp::Add | FOp::Sub => 2,
+        FOp::Mul => 4,
+        FOp::Div => 12,
+    }
+}
+
+/// Cycles of a unary float operation.
+pub(crate) fn fuop_cycles(op: FUOp) -> u64 {
+    match op {
+        FUOp::Neg => 2,
+        _ => 20,
+    }
+}
+
+/// The cycles an instruction with a static cost charges, spill charges
+/// excluded, and without the `fp3_overhead` jump surcharge; `None` for
+/// instructions whose cost depends on the heap, the operands or the
+/// collector (allocation, runtime calls, string and polymorphic
+/// compares, `Switch`, `Print`) and for the run-ending `Halt` and
+/// `Uncaught`. Must agree with what the `Engine::m_*` handlers charge;
+/// the decode/threaded differential tests pin that.
+pub(crate) fn static_cycles(ins: &Instr) -> Option<u64> {
+    Some(match ins {
+        Instr::Move { .. }
+        | Instr::FMove { .. }
+        | Instr::LoadI { .. }
+        | Instr::LoadStr { .. }
+        | Instr::LoadLabel { .. }
+        | Instr::Branch { .. }
+        | Instr::Jump { .. }
+        | Instr::GetHdlr { .. }
+        | Instr::SetHdlr { .. } => 1,
+        Instr::LoadF { .. }
+        | Instr::Load { .. }
+        | Instr::Store { .. }
+        | Instr::ArrLen { .. }
+        | Instr::FBranch { .. }
+        | Instr::JumpReg { .. } => 2,
+        Instr::Floor { .. }
+        | Instr::IntToReal { .. }
+        | Instr::LoadIdx { .. }
+        | Instr::StoreIdx { .. } => 3,
+        Instr::StoreWB { .. }
+        | Instr::FLoad { .. }
+        | Instr::FStore { .. }
+        | Instr::FUnbox { .. } => 4,
+        Instr::StoreIdxWB { .. } => 5,
+        Instr::Arith { op, .. } => aop_cycles(*op),
+        Instr::FArith { op, .. } => fop_cycles(*op),
+        Instr::FUnary { op, .. } => fuop_cycles(*op),
+        _ => return None,
+    })
 }
 
 /// How a [`pump_major`] call ended.

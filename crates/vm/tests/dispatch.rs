@@ -1,13 +1,15 @@
 //! The two execution engines are observationally identical: same
-//! results, same output, same `RunStats` counters — under normal
-//! completion, every trap path, and scheduler preemption. Plus the
-//! floor div/mod semantics both engines now share, and the threaded
-//! stream verifier.
+//! results, same output, same `RunStats` counters, same preemption
+//! points — under normal completion, every trap path, and scheduler
+//! preemption, including traps, fuel limits and quantum edges that land
+//! inside a run the threaded engine charges as a whole. Plus the floor
+//! div/mod semantics both engines now share, and the threaded stream
+//! verifier.
 
-use sml_vm::isa::{AOp, BrOp};
+use sml_vm::isa::{AOp, AllocKind, BrOp, FOp, FUOp};
 use sml_vm::{
-    run, verify_threaded, CodeBlock, Dispatch, Instr, MachineProgram, Outcome, SchedulerBuilder,
-    TenantSpec, VmConfig, VmInstance, VmResult,
+    run, verify_threaded, CodeBlock, Dispatch, GcMode, Instr, MachineProgram, Outcome,
+    SchedulerBuilder, TenantReport, TenantSpec, VmConfig, VmInstance, VmResult,
 };
 use std::sync::Arc;
 
@@ -19,6 +21,7 @@ fn prog(instrs: Vec<Instr>) -> MachineProgram {
         }],
         entry: 0,
         pool: Vec::new(),
+        predecoded: Default::default(),
     }
 }
 
@@ -101,6 +104,7 @@ fn sum_loop(n: i64) -> MachineProgram {
         ],
         entry: 0,
         pool: Vec::new(),
+        predecoded: Default::default(),
     }
 }
 
@@ -259,14 +263,10 @@ fn scheduler_runs_threaded_tenants_identically() {
     let (dec, _) = run_tenants(Dispatch::Decode);
     let (thr, _) = run_tenants(Dispatch::Threaded);
     for (d, t) in dec.iter().zip(&thr) {
-        assert_eq!(d.result, t.result);
-        assert_eq!(d.output, t.output);
-        assert_eq!(d.stats, t.stats, "per-tenant stats diverge");
+        assert_same_tenant(d, t);
         assert_eq!(t.dispatch.engine, Dispatch::Threaded);
         assert!(t.dispatch.superinstructions > 0);
     }
-    // Slice counts may differ (pairs don't split across slices), but
-    // every tenant still finishes with solo-identical results.
 }
 
 #[test]
@@ -328,4 +328,306 @@ fn i64_min_division_wraps_in_both_engines() {
         Instr::Halt { s: 3 },
     ]);
     both(&p, &VmConfig::default());
+}
+
+/// Asserts two tenants' reports agree on everything but the engine.
+fn assert_same_tenant(d: &TenantReport, t: &TenantReport) {
+    assert_eq!(d.result, t.result);
+    assert_eq!(d.output, t.output);
+    assert_eq!(d.stats, t.stats, "per-tenant stats diverge");
+    assert_eq!(d.slices, t.slices, "preemption points diverge");
+    assert_eq!(d.max_overshoot, t.max_overshoot);
+    assert_eq!(d.first_slice, t.first_slice);
+}
+
+#[test]
+fn bounds_fault_three_records_into_a_run() {
+    // The run after the (slow) allocation is Move, Move, FMove, Load;
+    // the Load reads past the two-word record.
+    let p = prog(vec![
+        Instr::LoadI { d: 1, imm: 5 },
+        Instr::Alloc {
+            d: 2,
+            kind: AllocKind::Record,
+            words: vec![1, 1],
+            flts: vec![],
+        },
+        Instr::Move { d: 3, s: 2 },
+        Instr::Move { d: 40, s: 1 },
+        Instr::FMove { d: 1, s: 2 },
+        Instr::Load {
+            d: 4,
+            base: 3,
+            off: 5,
+        },
+        Instr::Move { d: 5, s: 4 },
+        Instr::Halt { s: 5 },
+    ]);
+    let o = both(&p, &VmConfig::default());
+    let VmResult::Fault(msg) = &o.result else {
+        panic!("expected a bounds fault, got {:?}", o.result);
+    };
+    assert!(msg.contains("outside object"), "{msg}");
+    // A trap exit keeps the breakdown summing to the total.
+    assert_eq!(o.stats.cycles_by_class.iter().sum::<u64>(), o.stats.cycles);
+}
+
+#[test]
+fn div_by_zero_in_the_second_half_of_a_fused_pair_inside_a_run() {
+    let p = prog(vec![
+        Instr::LoadI { d: 1, imm: 7 },
+        Instr::Move { d: 33, s: 1 },
+        Instr::LoadI { d: 4, imm: 0 },
+        Instr::Arith {
+            op: AOp::Div,
+            d: 3,
+            a: 33,
+            b: 4,
+        },
+        Instr::Move { d: 5, s: 3 },
+        Instr::Halt { s: 5 },
+    ]);
+    let o = both(&p, &VmConfig::default());
+    assert_eq!(o.result, VmResult::Fault("integer division by zero".into()));
+    let vm = VmInstance::new(&p, &cfg(Dispatch::Threaded));
+    assert_eq!(vm.dispatch_stats().superinstructions, 1, "LoadI+Div fuses");
+}
+
+/// One long straight-line run mixing every cost class (and spilled
+/// registers), ending in a halt.
+fn long_run() -> MachineProgram {
+    prog(vec![
+        Instr::LoadI { d: 1, imm: 9 },
+        Instr::LoadI { d: 40, imm: 4 },
+        Instr::Arith {
+            op: AOp::Mul,
+            d: 2,
+            a: 1,
+            b: 40,
+        },
+        Instr::IntToReal { d: 1, a: 2 },
+        Instr::FUnary {
+            op: FUOp::Sqrt,
+            d: 2,
+            a: 1,
+        },
+        Instr::FArith {
+            op: FOp::Div,
+            d: 35,
+            a: 2,
+            b: 1,
+        },
+        Instr::Floor { d: 3, a: 35 },
+        Instr::Move { d: 41, s: 3 },
+        Instr::LoadI { d: 5, imm: 2 },
+        Instr::Arith {
+            op: AOp::Mod,
+            d: 6,
+            a: 41,
+            b: 5,
+        },
+        Instr::LoadF { d: 7, imm: 1.5 },
+        Instr::FMove { d: 8, s: 7 },
+        Instr::GetHdlr { d: 9 },
+        Instr::SetHdlr { s: 9 },
+        Instr::LoadLabel { d: 10, label: 0 },
+        Instr::Arith {
+            op: AOp::Sub,
+            d: 11,
+            a: 6,
+            b: 10,
+        },
+        Instr::Halt { s: 11 },
+    ])
+}
+
+#[test]
+fn max_cycles_sweep_across_every_offset_of_one_long_run() {
+    let p = long_run();
+    let full = both(&p, &VmConfig::default());
+    assert!(matches!(full.result, VmResult::Value(_)));
+    for fuel in 0..=full.stats.cycles + 1 {
+        let base = VmConfig {
+            max_cycles: fuel,
+            ..VmConfig::default()
+        };
+        both(&p, &base);
+    }
+}
+
+#[test]
+fn quantum_sweep_gives_identical_slices_overshoot_and_first_slice() {
+    let programs = [Arc::new(sum_loop(40)), Arc::new(long_run())];
+    for quantum in 1..=64 {
+        let run_tenants = |dispatch| {
+            let mut sched = SchedulerBuilder::new().quantum(quantum).build().unwrap();
+            for p in &programs {
+                sched
+                    .admit(TenantSpec::new(p.clone(), &cfg(dispatch)))
+                    .unwrap();
+            }
+            sched.run_all()
+        };
+        let (dec, dec_stats) = run_tenants(Dispatch::Decode);
+        let (thr, thr_stats) = run_tenants(Dispatch::Threaded);
+        for (d, t) in dec.iter().zip(&thr) {
+            assert_same_tenant(d, t);
+        }
+        assert_eq!(dec_stats.slices, thr_stats.slices, "quantum {quantum}");
+        assert_eq!(dec_stats.preemptions, thr_stats.preemptions);
+        assert_eq!(dec_stats.max_overshoot, thr_stats.max_overshoot);
+    }
+}
+
+#[test]
+fn one_shared_program_as_two_tenants_with_and_without_fp3() {
+    let p = Arc::new(sum_loop(300));
+    for dispatch in [Dispatch::Decode, Dispatch::Threaded] {
+        let configs = [false, true].map(|fp3_overhead| VmConfig {
+            fp3_overhead,
+            ..cfg(dispatch)
+        });
+        let mut sched = SchedulerBuilder::new().quantum(53).build().unwrap();
+        for c in &configs {
+            sched.admit(TenantSpec::new(p.clone(), c)).unwrap();
+        }
+        let (reports, _) = sched.run_all();
+        for (r, c) in reports.iter().zip(&configs) {
+            // Each tenant matches its solo run under either engine.
+            let solo = both(&p, c);
+            assert_eq!(r.result, solo.result);
+            assert_eq!(r.output, solo.output);
+            assert_eq!(r.stats, solo.stats, "fp3 {}", c.fp3_overhead);
+        }
+        assert!(
+            reports[1].stats.cycles > reports[0].stats.cycles,
+            "the fp3 surcharge must show on the shared stream"
+        );
+    }
+}
+
+#[test]
+fn runs_fall_back_to_per_record_accounting_while_a_major_is_active() {
+    // A permanent chain built first, then a loop that grows a churn
+    // chain (dropped every 64 cells, so survivors crowd the nursery
+    // and majors run) and walks the permanent chain one cell per
+    // iteration: with majors sliced and yielding after every slice, the
+    // walk's loads hit from-space cells, so the read barrier copies
+    // inside what would otherwise be a run.
+    let (keep, n) = (150, 3_000);
+    let add = |d, a, b| Instr::Arith {
+        op: AOp::Add,
+        d,
+        a,
+        b,
+    };
+    let branch = |op, a, b, target| Instr::Branch { op, a, b, target };
+    let p = prog(vec![
+        Instr::LoadI { d: 1, imm: 0 },
+        Instr::LoadI { d: 2, imm: keep },
+        Instr::LoadI { d: 12, imm: 0 },
+        Instr::LoadI { d: 7, imm: 1 },
+        // build @4
+        Instr::Alloc {
+            d: 4,
+            kind: AllocKind::Record,
+            words: vec![1, 12],
+            flts: vec![],
+        },
+        Instr::Move { d: 12, s: 4 },
+        add(1, 1, 7),
+        branch(BrOp::Ge, 1, 2, 4),
+        Instr::LoadI { d: 1, imm: 0 },
+        Instr::LoadI { d: 2, imm: n },
+        Instr::LoadI { d: 6, imm: 64 },
+        Instr::Move { d: 13, s: 12 },
+        // loop @12: grow the churn chain, dropping it every 64 cells
+        Instr::Alloc {
+            d: 4,
+            kind: AllocKind::Record,
+            words: vec![1, 3],
+            flts: vec![],
+        },
+        Instr::Move { d: 3, s: 4 },
+        Instr::Arith {
+            op: AOp::Mod,
+            d: 8,
+            a: 1,
+            b: 6,
+        },
+        branch(BrOp::Eq, 8, 0, 17),
+        Instr::LoadI { d: 3, imm: 0 },
+        // @17: one step along the permanent chain
+        branch(BrOp::Boxed, 13, 13, 22),
+        Instr::Load {
+            d: 11,
+            base: 13,
+            off: 0,
+        },
+        add(5, 5, 11),
+        Instr::Load {
+            d: 13,
+            base: 13,
+            off: 1,
+        },
+        branch(BrOp::Ne, 0, 0, 23),
+        // @22: back to the head of the chain
+        Instr::Move { d: 13, s: 12 },
+        // @23
+        add(1, 1, 7),
+        branch(BrOp::Ge, 1, 2, 12),
+        Instr::Halt { s: 5 },
+    ]);
+    let mut base = VmConfig {
+        gc_mode: GcMode::Generational,
+        nursery_words: 256,
+        tenured_words: 2048,
+        promote_after: 1,
+        max_pause_cycles: 210,
+        ..VmConfig::default()
+    };
+    base.fault.yield_every_n_slices = Some(1);
+    base.fault.gc_every_n_allocs = Some(1);
+    let o = both(&p, &base);
+    assert!(matches!(o.result, VmResult::Value(_)), "{:?}", o.result);
+    assert!(
+        o.stats.major_slices > o.stats.n_major_gcs,
+        "majors must be sliced so the mutator runs mid-major: {:?}",
+        o.stats
+    );
+    assert!(
+        o.stats.barrier_words > 0,
+        "loads must run against an active major: {:?}",
+        o.stats
+    );
+    // Barrier copies are charged when they happen, so fuel and the
+    // quantum cut off at the same instruction under both engines.
+    for k in 1..64 {
+        let fuel = VmConfig {
+            max_cycles: o.stats.cycles * k / 64,
+            ..base
+        };
+        both(&p, &fuel);
+    }
+    for quantum in 1..=24 {
+        lockstep(&p, &base, quantum);
+    }
+}
+
+/// Runs `p` under both engines slice by slice and demands identical
+/// counters after every slice, not just at the end.
+fn lockstep(p: &MachineProgram, base: &VmConfig, quantum: u64) {
+    let engine = |dispatch| VmConfig { dispatch, ..*base };
+    let mut dec = VmInstance::new(p, &engine(Dispatch::Decode));
+    let mut thr = VmInstance::new(p, &engine(Dispatch::Threaded));
+    for slice in 0.. {
+        let done = dec.run_slice(quantum);
+        assert_eq!(done, thr.run_slice(quantum), "slice {slice}");
+        assert_eq!(dec.stats(), thr.stats(), "quantum {quantum}, slice {slice}");
+        if done {
+            break;
+        }
+    }
+    assert_eq!(dec.result(), thr.result());
+    assert_eq!(dec.output(), thr.output());
 }

@@ -31,6 +31,7 @@ fn prog(instrs: Vec<Instr>) -> MachineProgram {
         }],
         entry: 0,
         pool: Vec::new(),
+        predecoded: Default::default(),
     }
 }
 

@@ -17,6 +17,7 @@ fn prog(instrs: Vec<Instr>) -> MachineProgram {
         }],
         entry: 0,
         pool: Vec::new(),
+        predecoded: Default::default(),
     }
 }
 
@@ -248,6 +249,7 @@ fn chain_alloc_loop() -> MachineProgram {
         ],
         entry: 0,
         pool: Vec::new(),
+        predecoded: Default::default(),
     }
 }
 

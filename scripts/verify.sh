@@ -21,6 +21,10 @@ fi
 echo "== tier-1: build (release) =="
 cargo build --release
 
+# Bench stages write their trajectory documents here, not over the
+# committed BENCH_prN.json files, so a verify run leaves the tree clean.
+mkdir -p target/bench
+
 echo "== tier-1: tests =="
 cargo test -q
 
@@ -45,7 +49,7 @@ fi
 # run with VerifyIr::Debug active (dev profile); here the fuzz smoke is
 # repeated in release with every verifier forced on, the mutation
 # harness proves the seeded IR corruptions are rejected at their
-# introducing phase, and the overhead benchmark writes BENCH_pr5.json
+# introducing phase, and the overhead benchmark writes its document
 # while asserting VerifyIr::Off runs zero checks and never changes the
 # emitted code.
 echo "== verify-ir: mutation harness =="
@@ -54,8 +58,8 @@ cargo test -q -p smlc --test verify_ir
 echo "== verify-ir: fuzz smoke (release, 200 seeds, VerifyIr::Always) =="
 SMLC_VERIFY_IR=always cargo run -q --release -p smlc-bench --bin fuzz_smoke
 
-echo "== verify-ir: overhead bench (BENCH_pr5.json) =="
-cargo run -q --release -p smlc-bench --bin verify_bench
+echo "== verify-ir: overhead bench =="
+cargo run -q --release -p smlc-bench --bin verify_bench -- --json=target/bench/verify_bench.json
 
 # Differential fuzz smoke (docs/ROBUSTNESS.md): seeded well-typed
 # programs under all six variants, demanding no panic, no trap, and
@@ -67,19 +71,26 @@ cargo run -q -p smlc-bench --bin fuzz_smoke -- --seeds=40
 echo "== fuzz smoke (release, 200 seeds) =="
 cargo run -q --release -p smlc-bench --bin fuzz_smoke
 
+# Source-mutation sweep (docs/ROBUSTNESS.md): 1,200 seeded token
+# mutants of the figure programs must each compile or fail with a typed,
+# non-internal error, and every mutant that runs must run identically
+# under both execution engines. Tier-1 runs the same test with 300.
+echo "== source mutation sweep (release, 1200 mutants) =="
+SMLC_MUTANTS=1200 cargo test -q --release -p smlc --test source_mutation
+
 # Artifact-cache benchmark: runs the 12x6 matrix cache-off, cold, and
 # warm in one reused session, asserts the warm pass is served entirely
 # from cache with outcomes byte-identical to the serial cold path, and
-# writes the BENCH_pr3.json trajectory.
-echo "== cache bench (BENCH_pr3.json) =="
-cargo run -q --release -p smlc-bench --bin cache_bench
+# writes its trajectory document.
+echo "== cache bench =="
+cargo run -q --release -p smlc-bench --bin cache_bench -- --json=target/bench/cache_bench.json
 
 # Generational-GC benchmark: sweeps nursery sizes over the figure
 # benchmarks against the semispace baseline collector, asserts outputs
 # stay byte-identical and that the generational default copies fewer
-# total words, and writes the BENCH_pr4.json trajectory.
-echo "== gc bench (BENCH_pr4.json) =="
-cargo run -q --release -p smlc-bench --bin gc_bench
+# total words, and writes its trajectory document.
+echo "== gc bench =="
+cargo run -q --release -p smlc-bench --bin gc_bench -- --json=target/bench/gc_bench.json
 
 # Bounded-pause / tenant-isolation gate (docs/ROBUSTNESS.md): the
 # figure benchmarks and a 200-seed progen corpus are run three ways —
@@ -87,10 +98,10 @@ cargo run -q --release -p smlc-bench --bin gc_bench
 # the semispace baseline — demanding byte-identical outputs, identical
 # promotion traffic, and zero over-budget pauses; a 16-tenant storm
 # with one hostile tenant must exhaust only that tenant's quota while
-# the other fifteen finish with their solo results. Writes the
-# BENCH_pr7.json trajectory.
-echo "== gc pause bench (BENCH_pr7.json) =="
-cargo run -q --release -p smlc-bench --bin gc_pause_bench
+# the other fifteen finish with their solo results. Writes its
+# trajectory document.
+echo "== gc pause bench =="
+cargo run -q --release -p smlc-bench --bin gc_pause_bench -- --json=target/bench/gc_pause_bench.json
 
 echo "== incremental GC / scheduler differential =="
 cargo test -q -p sml-vm --test incremental
@@ -100,15 +111,15 @@ cargo test -q -p sml-vm --test incremental
 # byte-identical to the serial cold reference across worker counts and
 # shuffled job orders; the intern-storm property test pins exact arena
 # accounting under contention; the benchmark asserts warm interning
-# beats cold and writes the BENCH_pr6.json trajectory.
+# beats cold and writes its trajectory document.
 echo "== arena: scheduling-permutation differential =="
 cargo test -q -p smlc --test arena_determinism
 
 echo "== arena: intern-storm accounting =="
 cargo test -q -p sml-lambda --test intern_storm
 
-echo "== arena bench (BENCH_pr6.json) =="
-cargo run -q --release -p smlc-bench --bin arena_bench
+echo "== arena bench =="
+cargo run -q --release -p smlc-bench --bin arena_bench -- --json=target/bench/arena_bench.json
 
 # Compile-server gate (docs/SERVER.md): concurrent clients, the wire
 # protocol's error taxonomy and request-line cap, the CLI's subcommand
@@ -117,17 +128,17 @@ echo "== server suite =="
 cargo test -q -p smlc --test server
 
 # Dispatch-engine gate (docs/ARCHITECTURE.md §7): the threaded engine's
-# differential suite (trap parity, fuel sweeps mid-superinstruction,
-# scheduler slicing, stream verification), then the bench gate proving
-# decode/threaded observational identity over the figure benchmarks ×
-# all six variants plus a 200-seed progen corpus and recording the
-# threaded engine's wall-time geomean. Writes the BENCH_pr9.json
-# trajectory.
+# differential suite (trap parity, fuel and quantum sweeps across runs
+# and superinstructions, scheduler slicing, stream and run-table
+# verification), then the bench gate proving decode/threaded
+# observational identity over the figure benchmarks × all six variants
+# plus a 200-seed progen corpus and recording the threaded engine's
+# wall-time geomean. Writes its trajectory document.
 echo "== dispatch: engine differential =="
 cargo test -q -p sml-vm --test dispatch
 
-echo "== dispatch bench (BENCH_pr9.json) =="
-cargo run -q --release -p smlc-bench --bin dispatch_bench
+echo "== dispatch bench =="
+cargo run -q --release -p smlc-bench --bin dispatch_bench -- --json=target/bench/dispatch_bench.json
 
 # Scheduler gate (docs/SCHEDULER.md): the policy suite (builder
 # validation, typed admission errors, EDF feasibility, starvation
@@ -136,12 +147,12 @@ cargo run -q --release -p smlc-bench --bin dispatch_bench
 # no-regression baseline — every well-behaved tenant must stay
 # byte-identical to its solo run under each policy — and its deadline
 # curves must show EDF missing nothing on the feasible workload while
-# round-robin misses under load. Writes the BENCH_pr10.json trajectory.
+# round-robin misses under load. Writes its trajectory document.
 echo "== sched: policy suite =="
 cargo test -q -p sml-vm --test sched
 
-echo "== sched bench (BENCH_pr10.json) =="
-cargo run -q --release -p smlc-bench --bin sched_bench
+echo "== sched bench =="
+cargo run -q --release -p smlc-bench --bin sched_bench -- --json=target/bench/sched_bench.json
 
 # Documentation gate: every relative Markdown link in README.md and
 # docs/*.md must resolve (first-party checker, no external deps).
